@@ -1,17 +1,11 @@
-//! Worker-count scaling of the DAG executor: the barrier-free
-//! work-stealing scheduler vs the PR 3 per-stage-spawn scheduler, swept
-//! at 1/2/4/8 workers over the two widest DAGs of the suite (TensorFlow
-//! Inception v3's parallel towers and Spark TeraSort's wide-dependency
-//! fork/join).
-//!
-//! The comparison every PR 4 claim rests on: at equal worker counts the
-//! work-stealing executor must beat the stage-barrier executor on at
-//! least one branching DAG, because it neither spawns threads per stage
-//! nor stalls a stage on its slowest branch.
+//! Worker-count scaling of the DAG executor: the work-stealing scheduler
+//! swept at 1/2/4/8 workers over the two widest DAGs of the suite
+//! (TensorFlow Inception v3's parallel towers and Spark TeraSort's
+//! wide-dependency fork/join).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dmpb_core::decompose::decompose;
-use dmpb_core::executor::{DagExecutor, SchedulePolicy};
+use dmpb_core::executor::DagExecutor;
 use dmpb_core::features::initial_parameters;
 use dmpb_core::ProxyBenchmark;
 use dmpb_workloads::{workload_by_kind, ClusterConfig, WorkloadKind};
@@ -29,47 +23,6 @@ fn proxy_for(kind: WorkloadKind) -> ProxyBenchmark {
     )
 }
 
-/// Superkernel fusion vs plain dispatch on the workloads whose DAG plans
-/// contain a registered fusable chain (QuickSort→MergeSort in Hadoop
-/// K-means, GraphConstruct→GraphTraversal in the PageRank variants and
-/// Hadoop TeraSort).  Small element counts, where per-task scheduling
-/// overhead is the dominant cost fusion removes; the checksum assertions
-/// pin the PR 7 claim that fusion is digest-invisible.
-fn bench_superkernel_fusion(c: &mut Criterion) {
-    for kind in [
-        WorkloadKind::TeraSort,
-        WorkloadKind::KMeans,
-        WorkloadKind::PageRank,
-        WorkloadKind::SparkPageRank,
-    ] {
-        let proxy = proxy_for(kind);
-        let dag = proxy.dag();
-        let fused = DagExecutor::new();
-        let unfused = DagExecutor::new().with_fusion(false);
-        assert!(
-            fused.planned_fusions(&dag) > 0,
-            "{kind} must plan at least one fusion"
-        );
-        assert_eq!(
-            fused.execute(&dag, 2_048, 1).checksum,
-            unfused.execute(&dag, 2_048, 1).checksum,
-            "fusion must not change the digest"
-        );
-
-        let mut group = c.benchmark_group(format!("superkernel_fusion/{kind}"));
-        group.sample_size(10);
-        group.warm_up_time(std::time::Duration::from_millis(500));
-        group.measurement_time(std::time::Duration::from_secs(2));
-        group.bench_function("fused", |b| {
-            b.iter(|| black_box(fused.execute(&dag, 2_048, 1).checksum))
-        });
-        group.bench_function("unfused", |b| {
-            b.iter(|| black_box(unfused.execute(&dag, 2_048, 1).checksum))
-        });
-        group.finish();
-    }
-}
-
 fn bench_executor_scaling(c: &mut Criterion) {
     for kind in [WorkloadKind::InceptionV3, WorkloadKind::SparkTeraSort] {
         let proxy = proxy_for(kind);
@@ -83,25 +36,18 @@ fn bench_executor_scaling(c: &mut Criterion) {
 
         let reference = DagExecutor::new().execute(&dag, ELEMENTS, 1).checksum;
         for workers in WORKER_SWEEP {
-            let stealing = DagExecutor::new().with_max_parallel(workers);
-            let barrier = DagExecutor::new()
-                .with_policy(SchedulePolicy::StageBarrier)
-                .with_max_parallel(workers);
-            // The digest must not depend on policy or worker count; only
+            let executor = DagExecutor::new().with_max_parallel(workers);
+            // The digest must not depend on the worker count; only
             // wall-clock may.
-            assert_eq!(stealing.execute(&dag, ELEMENTS, 1).checksum, reference);
-            assert_eq!(barrier.execute(&dag, ELEMENTS, 1).checksum, reference);
+            assert_eq!(executor.execute(&dag, ELEMENTS, 1).checksum, reference);
 
             group.bench_function(format!("work_stealing/{workers}w"), |b| {
-                b.iter(|| black_box(stealing.execute(&dag, ELEMENTS, 1).checksum))
-            });
-            group.bench_function(format!("stage_barrier/{workers}w"), |b| {
-                b.iter(|| black_box(barrier.execute(&dag, ELEMENTS, 1).checksum))
+                b.iter(|| black_box(executor.execute(&dag, ELEMENTS, 1).checksum))
             });
         }
         group.finish();
     }
 }
 
-criterion_group!(benches, bench_executor_scaling, bench_superkernel_fusion);
+criterion_group!(benches, bench_executor_scaling);
 criterion_main!(benches);

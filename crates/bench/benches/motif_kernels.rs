@@ -8,62 +8,7 @@ use dmpb_datagen::text::TextGenerator;
 use dmpb_motifs::ai::convolution::{conv2d, FilterBank, Padding};
 use dmpb_motifs::ai::pooling::max_pool2d;
 use dmpb_motifs::bigdata::{graph_ops, logic, sort, statistics, transform};
-use dmpb_motifs::{BufferPool, MotifKind, MotifRegistry};
 use std::hint::black_box;
-
-/// The registered superkernels against their unfused pairs, at equal
-/// arguments — the shared-computation case (one key generation, one graph
-/// build) that profile-guided fusion exploits.  Checksum identity is
-/// asserted before timing, so the comparison is apples to apples.
-fn bench_fused_pairs(c: &mut Criterion) {
-    let registry = MotifRegistry::global();
-    let pool = BufferPool::new();
-    let mut group = c.benchmark_group("fused_kernels");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-
-    for (first, second, n, label) in [
-        (
-            MotifKind::QuickSort,
-            MotifKind::MergeSort,
-            20_000,
-            "quick_merge_sort_20k",
-        ),
-        (
-            MotifKind::GraphConstruct,
-            MotifKind::GraphTraversal,
-            10_000,
-            "graph_construct_traversal_10k",
-        ),
-    ] {
-        let fused = registry
-            .fused(first, second)
-            .expect("superkernel is registered");
-        let unfused = (
-            registry.kernel(first).execute(n, 1, &pool),
-            registry.kernel(second).execute(n, 1, &pool),
-        );
-        assert_eq!(
-            fused.execute((n, 1), (n, 1), &pool),
-            unfused,
-            "superkernel must be checksum-identical to its pair"
-        );
-
-        group.bench_function(format!("{label}/fused"), |b| {
-            b.iter(|| black_box(fused.execute((n, 1), (n, 1), &pool)))
-        });
-        group.bench_function(format!("{label}/unfused"), |b| {
-            b.iter(|| {
-                black_box((
-                    registry.kernel(first).execute(n, 1, &pool),
-                    registry.kernel(second).execute(n, 1, &pool),
-                ))
-            })
-        });
-    }
-    group.finish();
-}
 
 fn bench_motifs(c: &mut Criterion) {
     let mut group = c.benchmark_group("motif_kernels");
@@ -124,5 +69,5 @@ fn bench_motifs(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_motifs, bench_fused_pairs);
+criterion_group!(benches, bench_motifs);
 criterion_main!(benches);

@@ -48,7 +48,7 @@ const WORKERS: usize = 8;
 const SCALES: [usize; 4] = [100_000, 1_000_000, 10_000_000, 100_000_000];
 
 /// A scale point regresses the `--check` gate when its throughput falls
-/// below this fraction of the baseline's (matches `bench_pr7`).
+/// below this fraction of the baseline's.
 const REGRESSION_FLOOR: f64 = 0.75;
 
 /// The process's peak resident set size in kB (`VmHWM`, never

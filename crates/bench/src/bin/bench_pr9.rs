@@ -65,7 +65,7 @@ const MIN_INSERT_SPEEDUP: f64 = 4.0;
 const MIN_OPEN_SPEEDUP: f64 = 5.0;
 
 /// A metric regresses the `--check` gate when it falls below this
-/// fraction of the baseline's (matches `bench_pr7`/`bench_pr8`).
+/// fraction of the baseline's (matches `bench_pr8`).
 const REGRESSION_FLOOR: f64 = 0.75;
 
 /// One real computed record; every synthetic record is this one under a

@@ -648,144 +648,6 @@ kernel!(ReduceMaxKernel, ReduceMax, |g, pool| {
     )])
 });
 
-// --- Superkernels (profile-guided fusion) --------------------------------
-
-/// A **superkernel**: one object executing two adjacent DAG edges'
-/// kernels in a single dispatch.
-///
-/// Profiling the eight workloads' DAG plans (see
-/// [`crate::profile::rank_fusion_candidates`]) showed two kernel pairs
-/// chained through an intermediate node more often than any other:
-/// quick sort feeding merge sort (combiner output merged at the
-/// reducer) and graph construction feeding graph traversal (build the
-/// adjacency structure, then walk it).  Registering a fused kernel for
-/// a pair lets the executor run a whole chain as *one* scheduled task —
-/// eliding a readiness countdown, a task spawn and a dispatch per fused
-/// edge — and share input materialisation when both halves read the
-/// same data.
-///
-/// # Contract
-///
-/// `execute` must return **exactly** the digests the two registered
-/// [`MotifKernel`]s would produce for the same `(n, seed)` arguments —
-/// fusion is a pure performance axis, pinned by unit tests and a
-/// proptest over random argument pairs.
-pub trait FusedKernel: Send + Sync + std::fmt::Debug {
-    /// The `(first, second)` motif pair this superkernel fuses.
-    fn pair(&self) -> (MotifKind, MotifKind);
-
-    /// Executes both halves and returns their digests in order.
-    /// `first` and `second` carry each half's `(n, seed)` arguments.
-    fn execute(&self, first: (usize, u64), second: (usize, u64), pool: &BufferPool) -> (u64, u64);
-}
-
-/// Quick sort + merge sort fused: when both halves sort the same
-/// generated keys (equal `(n, seed)`), each granule's input is generated
-/// once — merge sort reads the unsorted keys before quick sort reorders
-/// them in place.  Distinct arguments fall back to running both bodies
-/// back to back (still one scheduled task instead of two).
-#[derive(Debug)]
-struct QuickMergeSortKernel;
-
-impl FusedKernel for QuickMergeSortKernel {
-    fn pair(&self) -> (MotifKind, MotifKind) {
-        (MotifKind::QuickSort, MotifKind::MergeSort)
-    }
-
-    fn execute(
-        &self,
-        (n_quick, seed_quick): (usize, u64),
-        (n_merge, seed_merge): (usize, u64),
-        pool: &BufferPool,
-    ) -> (u64, u64) {
-        let shared = (n_merge, seed_merge) == (n_quick, seed_quick);
-        let mut quick_state = ChunkState::IDENTITY;
-        let mut merge_state = ChunkState::IDENTITY;
-        let generator = TextGenerator::new(seed_quick);
-        let mut cursor = 0;
-        while cursor < n_quick {
-            let index = (cursor / CHUNK_GRANULE) as u64;
-            let end = (cursor + CHUNK_GRANULE).min(n_quick);
-            let mut keys = generator.generate_range(cursor, end).keys();
-            if shared {
-                merge_state.absorb(index, end - cursor, hash_keys(&sort::merge_sort(&keys)));
-            }
-            sort::quick_sort(&mut keys);
-            quick_state.absorb(index, end - cursor, hash_keys(&keys));
-            cursor = end;
-        }
-        if !shared {
-            merge_state = MergeSortKernel.execute_chunk(0, n_merge, n_merge, seed_merge, pool);
-        }
-        (
-            quick_state.finalize(MotifKind::QuickSort),
-            merge_state.finalize(MotifKind::MergeSort),
-        )
-    }
-}
-
-/// Graph construction + traversal fused: each granule's sample graph
-/// depends only on its element range, so when both halves agree on `n`
-/// the adjacency structure is built **once** per granule and both the
-/// construction outcome and the traversal reach are read off the same
-/// graph — construction is the expensive half, so this roughly halves
-/// the chain's work.
-#[derive(Debug)]
-struct GraphConstructTraversalKernel;
-
-impl FusedKernel for GraphConstructTraversalKernel {
-    fn pair(&self) -> (MotifKind, MotifKind) {
-        (MotifKind::GraphConstruct, MotifKind::GraphTraversal)
-    }
-
-    fn execute(
-        &self,
-        (n_construct, seed_construct): (usize, u64),
-        (n_traverse, seed_traverse): (usize, u64),
-        pool: &BufferPool,
-    ) -> (u64, u64) {
-        let mut construct_state = ChunkState::IDENTITY;
-        let mut traverse_state = ChunkState::IDENTITY;
-        let mut cursor = 0;
-        while cursor < n_construct {
-            let index = (cursor / CHUNK_GRANULE) as u64;
-            let end = (cursor + CHUNK_GRANULE).min(n_construct);
-            let g = GranuleCtx {
-                start: cursor,
-                end,
-                total: n_construct,
-                dataset_seed: seed_construct,
-                seed: granule_seed(seed_construct, index),
-            };
-            let graph = granule_graph(&g);
-            construct_state.absorb(
-                index,
-                g.len(),
-                hash_u64s([graph.num_edges() as u64, graph.max_out_degree() as u64]),
-            );
-            if n_traverse == n_construct {
-                traverse_state.absorb(index, g.len(), graph_ops::traversal_reach(&graph, 0) as u64);
-            }
-            cursor = end;
-        }
-        if n_traverse != n_construct {
-            traverse_state =
-                GraphTraversalKernel.execute_chunk(0, n_traverse, n_traverse, seed_traverse, pool);
-        }
-        (
-            construct_state.finalize(MotifKind::GraphConstruct),
-            traverse_state.finalize(MotifKind::GraphTraversal),
-        )
-    }
-}
-
-/// The registered superkernels — the two most frequently adjacent pairs
-/// across the eight workloads' DAG plans, tie-broken by profiled
-/// cumulative kernel time (see `profile_ranks_the_registered_fusions`
-/// in the crate tests).
-static FUSED_KERNELS: [&dyn FusedKernel; 2] =
-    [&QuickMergeSortKernel, &GraphConstructTraversalKernel];
-
 /// Constructs the kernel object for one motif kind.
 ///
 /// This match is the **single** kind→kernel dispatch point of the whole
@@ -881,22 +743,6 @@ impl MotifRegistry {
     /// method exists alongside [`MotifRegistry::len`]).
     pub fn is_empty(&self) -> bool {
         self.kernels.is_empty()
-    }
-
-    /// The superkernel fusing `(first, second)`, if one is registered.
-    /// The executor consults this when an edge's target node has
-    /// in-degree 1, i.e. when the second edge becomes ready exactly as
-    /// the first completes.
-    pub fn fused(&self, first: MotifKind, second: MotifKind) -> Option<&'static dyn FusedKernel> {
-        FUSED_KERNELS
-            .iter()
-            .copied()
-            .find(|k| k.pair() == (first, second))
-    }
-
-    /// Every registered superkernel pair, in registration order.
-    pub fn fused_pairs(&self) -> Vec<(MotifKind, MotifKind)> {
-        FUSED_KERNELS.iter().map(|k| k.pair()).collect()
     }
 }
 
@@ -1043,80 +889,6 @@ mod tests {
             via_kernel.total_instructions(),
             via_model.total_instructions()
         );
-    }
-
-    /// A fused pair must be digest-identical to its unfused halves for
-    /// every argument combination — exercised here on the boundary cases
-    /// (shared arguments, distinct arguments) for both superkernels.
-    #[test]
-    fn superkernels_match_their_unfused_pairs() {
-        let registry = MotifRegistry::global();
-        let pool = BufferPool::new();
-        for (first, second) in registry.fused_pairs() {
-            let fused = registry.fused(first, second).expect("pair is registered");
-            assert_eq!(fused.pair(), (first, second));
-            for (args_a, args_b) in [
-                ((128, 7), (128, 7)), // shared input fast path
-                ((128, 7), (128, 9)), // same size, different seed
-                ((128, 7), (300, 7)), // different size, same seed
-                ((64, 1), (512, 99)), // fully distinct
-                ((16, 0), (16, u64::MAX)),
-                ((CHUNK_GRANULE + 5, 3), (CHUNK_GRANULE + 5, 3)), // multi-granule shared
-                ((2 * CHUNK_GRANULE, 4), (CHUNK_GRANULE, 4)),     // multi-granule distinct
-            ] {
-                let expect_a = registry.kernel(first).execute(args_a.0, args_a.1, &pool);
-                let expect_b = registry.kernel(second).execute(args_b.0, args_b.1, &pool);
-                let (got_a, got_b) = fused.execute(args_a, args_b, &pool);
-                assert_eq!(
-                    (got_a, got_b),
-                    (expect_a, expect_b),
-                    "fused {first}+{second} diverges at {args_a:?}/{args_b:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn unregistered_pairs_have_no_superkernel() {
-        let registry = MotifRegistry::global();
-        assert!(registry
-            .fused(MotifKind::QuickSort, MotifKind::MergeSort)
-            .is_some());
-        assert!(registry
-            .fused(MotifKind::GraphConstruct, MotifKind::GraphTraversal)
-            .is_some());
-        // Order matters: only the observed adjacency direction is fused.
-        assert!(registry
-            .fused(MotifKind::MergeSort, MotifKind::QuickSort)
-            .is_none());
-        assert!(registry.fused(MotifKind::Fft, MotifKind::Ifft).is_none());
-        assert_eq!(registry.fused_pairs().len(), 2);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
-
-        /// The digest-identity pin: over random argument pairs, every
-        /// superkernel reproduces its unfused halves' digests exactly.
-        #[test]
-        fn superkernels_are_checksum_identical_for_random_arguments(
-            n_a in 16usize..600,
-            n_b in 16usize..600,
-            seed_a in 0u64..10_000,
-            seed_b in 0u64..10_000,
-        ) {
-            let registry = MotifRegistry::global();
-            let pool = BufferPool::new();
-            for (first, second) in registry.fused_pairs() {
-                let fused = registry.fused(first, second).unwrap();
-                let expect = (
-                    registry.kernel(first).execute(n_a, seed_a, &pool),
-                    registry.kernel(second).execute(n_b, seed_b, &pool),
-                );
-                let got = fused.execute((n_a, seed_a), (n_b, seed_b), &pool);
-                proptest::prop_assert_eq!(got, expect);
-            }
-        }
     }
 
     #[test]

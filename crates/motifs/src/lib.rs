@@ -56,7 +56,7 @@ pub mod workers;
 
 pub use class::{MotifClass, MotifKind};
 pub use config::MotifConfig;
-pub use kernel::{ChunkState, FusedKernel, GranuleCtx, MotifKernel, MotifRegistry};
+pub use kernel::{ChunkState, GranuleCtx, MotifKernel, MotifRegistry};
 pub use pool::BufferPool;
 pub use profile::{KernelProfile, KernelProfiler};
 pub use topology::{DagPlan, PlanEdge};

@@ -32,7 +32,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::profile::{BucketPlan, KernelProfiler};
+use crate::profile::KernelProfiler;
 use crate::workers;
 
 /// Free buffers a shard keeps per capacity class; overflow is released to
@@ -158,19 +158,6 @@ impl<T: Default + Clone> ShardedFreeList<T> {
             .expect("buffer pool poisoned")
             .put(vec);
     }
-
-    /// Seeds the free lists with `count` empty buffers of `capacity`,
-    /// distributed round-robin across shards so every worker finds warm
-    /// storage.  Prewarmed buffers are not counted as allocations — the
-    /// stats keep describing lease traffic only.
-    fn preload(&self, capacity: usize, count: usize) {
-        for i in 0..count {
-            self.shards[i % self.shards.len()]
-                .lock()
-                .expect("buffer pool poisoned")
-                .put(Vec::with_capacity(capacity));
-        }
-    }
 }
 
 /// Counters describing how effectively a [`BufferPool`] recycles storage.
@@ -284,20 +271,6 @@ impl BufferPool {
         Lease {
             vec: self.f32s.take(len),
             list: &self.f32s,
-        }
-    }
-
-    /// Seeds the pool from a profile-derived [`BucketPlan`] (see
-    /// [`crate::profile::KernelProfile::bucket_plan`]): every observed
-    /// lease capacity class gets free buffers ready before the first
-    /// lease, so a cold executor reaches steady-state reuse without the
-    /// initial allocation burst.
-    pub fn prewarm(&self, plan: &BucketPlan) {
-        for bucket in &plan.f64s {
-            self.f64s.preload(bucket.capacity, bucket.count);
-        }
-        for bucket in &plan.f32s {
-            self.f32s.preload(bucket.capacity, bucket.count);
         }
     }
 
@@ -419,60 +392,6 @@ mod tests {
         // Dropping the overflow must not panic; the bucket simply caps.
         let stats = pool.stats();
         assert!(stats.allocated >= MAX_PER_BUCKET as u64);
-    }
-
-    #[test]
-    fn prewarmed_buffers_serve_first_leases_without_allocating() {
-        use crate::profile::{BucketPlan, PrewarmBucket};
-        let pool = BufferPool::with_shards(1);
-        pool.prewarm(&BucketPlan {
-            f64s: vec![PrewarmBucket {
-                capacity: 256,
-                count: 2,
-            }],
-            f32s: vec![PrewarmBucket {
-                capacity: 64,
-                count: 1,
-            }],
-        });
-        // Prewarming itself is not lease traffic.
-        assert_eq!(pool.stats(), PoolStats::default());
-        let a = pool.f64s(200);
-        let b = pool.f64s(256);
-        let c = pool.f32s(64);
-        assert_eq!(a.capacity(), 256);
-        assert_eq!(b.capacity(), 256);
-        assert_eq!(c.capacity(), 64);
-        let stats = pool.stats();
-        assert_eq!(stats.reused, 3, "all first leases come prewarmed");
-        assert_eq!(stats.allocated, 0);
-    }
-
-    #[test]
-    fn prewarm_distributes_across_shards() {
-        use crate::profile::{BucketPlan, PrewarmBucket};
-        use crate::workers::WorkerPool;
-        let pool = BufferPool::with_shards(3);
-        pool.prewarm(&BucketPlan {
-            f64s: vec![PrewarmBucket {
-                capacity: 128,
-                count: 3,
-            }],
-            f32s: Vec::new(),
-        });
-        // Every worker's home shard (and the external shard) holds one
-        // warm buffer, so concurrent first leases all reuse.
-        let workers = WorkerPool::new(2);
-        workers.scope(|s| {
-            for _ in 0..2 {
-                let pool = &pool;
-                s.spawn(move |_| {
-                    assert_eq!(pool.f64s(100).capacity(), 128);
-                });
-            }
-        });
-        assert_eq!(pool.f64s(100).capacity(), 128);
-        assert_eq!(pool.stats().allocated, 0);
     }
 
     #[test]

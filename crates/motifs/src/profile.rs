@@ -7,8 +7,7 @@
 //! nanoseconds — plus a lock-free
 //! [`LatencyHistogram`], and
 //! the [`BufferPool`](crate::BufferPool) feeds per-capacity-class lease
-//! counts into the same profiler so bucket sizing can follow observed
-//! demand.
+//! counts into the same profiler.
 //!
 //! Three properties make the profiler safe to leave compiled into the
 //! hot dispatch path:
@@ -23,18 +22,11 @@
 //!   that motif's counters.
 //! * **No effect on results.**  Profiling changes *how execution is
 //!   observed*, never what it computes: kernel checksums, report bytes
-//!   and campaign digests are byte-identical with profiling on or off
-//!   (the executor runs unfused while profiling so per-kind attribution
-//!   stays exact — superkernels produce the same checksums either way).
+//!   and campaign digests are byte-identical with profiling on or off.
 //!
 //! A [`KernelProfile`] snapshot serializes to JSON lines via
-//! [`dmpb_metrics::json`] (`campaign --profile-out`, the `campaignd`
-//! `/metrics` page renders the same counters), and two consumers close
-//! the profile-guided loop: [`KernelProfile::bucket_plan`] derives
-//! [`BufferPool`](crate::BufferPool) prewarm sizes from the observed
-//! lease-size distribution, and [`rank_fusion_candidates`] orders
-//! adjacent kernel pairs by observed cost to pick superkernel fusion
-//! targets (see [`crate::kernel::FusedKernel`]).
+//! [`dmpb_metrics::json`] (`campaign --profile-out`; the `campaignd`
+//! `/metrics` page renders the same counters).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -194,8 +186,7 @@ pub struct KernelProfileEntry {
     pub latency: HistogramSnapshot,
 }
 
-/// A point-in-time snapshot of a [`KernelProfiler`]: the raw material
-/// for dispatch reordering, superkernel selection and pool prewarming.
+/// A point-in-time snapshot of a [`KernelProfiler`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelProfile {
     /// Per-kind counters in [`MotifKind::ALL`] order (all 33 entries,
@@ -293,100 +284,6 @@ impl KernelProfile {
         }
         out
     }
-
-    /// Derives a [`BufferPool`](crate::BufferPool) prewarm plan from the
-    /// observed lease-size distribution: every capacity class that saw
-    /// leases gets buffers proportional to its share of the traffic,
-    /// between 1 and 8 per class.  Deterministic in the profile.
-    pub fn bucket_plan(&self) -> BucketPlan {
-        fn plan(classes: &[u64; LEASE_CLASSES]) -> Vec<PrewarmBucket> {
-            let max = classes.iter().copied().max().unwrap_or(0).max(1);
-            classes
-                .iter()
-                .enumerate()
-                .filter(|(_, &count)| count > 0)
-                .map(|(class, &count)| PrewarmBucket {
-                    capacity: 1usize << class.min(62),
-                    count: ((count * 8).div_ceil(max) as usize).clamp(1, 8),
-                })
-                .collect()
-        }
-        BucketPlan {
-            f64s: plan(&self.lease_f64),
-            f32s: plan(&self.lease_f32),
-        }
-    }
-}
-
-/// One prewarm instruction of a [`BucketPlan`]: hold `count` free
-/// buffers of `capacity` elements ready before the first lease.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrewarmBucket {
-    /// Buffer capacity in elements (a power of two — the upper bound of
-    /// the observed capacity class).
-    pub capacity: usize,
-    /// Buffers to keep ready.
-    pub count: usize,
-}
-
-/// A profile-derived pool prewarm plan (see
-/// [`KernelProfile::bucket_plan`] and
-/// [`BufferPool::prewarm`](crate::BufferPool::prewarm)).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BucketPlan {
-    /// Prewarm instructions for `f64` buffers.
-    pub f64s: Vec<PrewarmBucket>,
-    /// Prewarm instructions for `f32` buffers.
-    pub f32s: Vec<PrewarmBucket>,
-}
-
-impl BucketPlan {
-    /// Total buffers the plan asks for, across both element types.
-    pub fn total_buffers(&self) -> usize {
-        self.f64s.iter().chain(&self.f32s).map(|b| b.count).sum()
-    }
-}
-
-/// An adjacent kernel pair ranked as a superkernel fusion candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FusionCandidate {
-    /// The `(first, second)` motifs of the adjacent edges.
-    pub pair: (MotifKind, MotifKind),
-    /// How often the pair appears adjacently (one count per DAG-plan
-    /// occurrence handed in).
-    pub occurrences: u64,
-    /// Combined profiled execution time of the two kinds, used to break
-    /// occurrence ties in favour of the costlier pair.
-    pub profiled_ns: u64,
-}
-
-/// Ranks adjacent kernel pairs as fusion candidates: by adjacency count
-/// first (a superkernel only pays off where DAGs actually chain the
-/// pair), then by the pair's combined profiled time, then by
-/// [`MotifKind::ALL`] order for determinism.  `adjacent` carries one
-/// entry per observed adjacency (duplicates count occurrences); the
-/// profile supplies the cost tie-breaker.
-pub fn rank_fusion_candidates(
-    adjacent: &[(MotifKind, MotifKind)],
-    profile: &KernelProfile,
-) -> Vec<FusionCandidate> {
-    let mut candidates: Vec<FusionCandidate> = Vec::new();
-    for &pair in adjacent {
-        match candidates.iter_mut().find(|c| c.pair == pair) {
-            Some(c) => c.occurrences += 1,
-            None => candidates.push(FusionCandidate {
-                pair,
-                occurrences: 1,
-                profiled_ns: profile.entry(pair.0).ns + profile.entry(pair.1).ns,
-            }),
-        }
-    }
-    candidates.sort_by(|a, b| {
-        (b.occurrences, b.profiled_ns)
-            .cmp(&(a.occurrences, a.profiled_ns))
-            .then_with(|| a.pair.cmp(&b.pair))
-    });
-    candidates
 }
 
 #[cfg(test)]
@@ -486,55 +383,5 @@ mod tests {
             "hottest first"
         );
         assert!(lines[3].contains("\"capacity\":256"));
-    }
-
-    #[test]
-    fn bucket_plan_scales_with_traffic_share() {
-        let p = KernelProfiler::new();
-        for _ in 0..80 {
-            p.record_lease_f64(1000); // class 10 dominates
-        }
-        p.record_lease_f64(30); // class 5 is rare
-        let plan = p.snapshot().bucket_plan();
-        assert_eq!(plan.f64s.len(), 2);
-        let rare = plan.f64s.iter().find(|b| b.capacity == 32).unwrap();
-        let hot = plan.f64s.iter().find(|b| b.capacity == 1024).unwrap();
-        assert_eq!(hot.count, 8, "dominant class gets the full allowance");
-        assert_eq!(rare.count, 1, "rare class still gets one buffer");
-        assert!(plan.f32s.is_empty());
-        assert_eq!(plan.total_buffers(), 9);
-    }
-
-    #[test]
-    fn fusion_candidates_rank_by_occurrences_then_profiled_cost() {
-        let p = KernelProfiler::new();
-        p.record(MotifKind::QuickSort, 1, Duration::from_millis(3));
-        p.record(MotifKind::MergeSort, 1, Duration::from_millis(3));
-        p.record(MotifKind::GraphConstruct, 1, Duration::from_millis(2));
-        p.record(MotifKind::GraphTraversal, 1, Duration::from_millis(2));
-        p.record(MotifKind::MinMax, 1, Duration::from_micros(1));
-        let profile = p.snapshot();
-        use MotifKind::*;
-        let adjacent = vec![
-            (GraphConstruct, GraphTraversal),
-            (QuickSort, MergeSort),
-            (MinMax, QuickSort),
-            (GraphConstruct, GraphTraversal),
-            (QuickSort, MergeSort),
-            (MinMax, QuickSort),
-            (GraphConstruct, GraphTraversal),
-            (QuickSort, MergeSort),
-            (MinMax, QuickSort),
-            (Fft, Ifft),
-        ];
-        let ranked = rank_fusion_candidates(&adjacent, &profile);
-        assert_eq!(ranked.len(), 4);
-        // Three pairs tie on occurrences; profiled time breaks the tie.
-        assert_eq!(ranked[0].pair, (QuickSort, MergeSort));
-        assert_eq!(ranked[0].occurrences, 3);
-        assert_eq!(ranked[1].pair, (GraphConstruct, GraphTraversal));
-        assert_eq!(ranked[2].pair, (MinMax, QuickSort));
-        assert_eq!(ranked[3].pair, (Fft, Ifft));
-        assert_eq!(ranked[3].occurrences, 1);
     }
 }

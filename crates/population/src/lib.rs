@@ -12,8 +12,8 @@
 //! whole pipeline unchanged: decomposition adopts its sampled fork/join
 //! topology (the plan is built from exactly the sampled motif set, so
 //! `covers_exactly` always holds), proxy generation tunes it like any
-//! named workload, and the `DagExecutor` runs it on the streamed or
-//! fused path.
+//! named workload, and the `DagExecutor` runs it like any other proxy
+//! DAG.
 //!
 //! A member is sampled from a [`PopulationSpec`]:
 //!

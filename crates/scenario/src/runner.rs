@@ -287,8 +287,8 @@ impl CampaignRunner {
     /// [`KernelProfiler`] on before executing (and leaves it on, so a
     /// sequence of campaigns accumulates one profile — read it with
     /// [`CampaignRunner::kernel_profile`]).  Profiling never changes
-    /// results: executors suppress superkernel fusion while sampling, and
-    /// reports and digests stay byte-identical.
+    /// results: executors only timestamp each executed chunk, so reports
+    /// and digests stay byte-identical.
     pub fn with_kernel_profiling(mut self, enabled: bool) -> Self {
         self.profile_kernels = enabled;
         self

@@ -33,7 +33,7 @@ fn profiling_on_or_off_yields_byte_identical_campaign_reports() {
     let was_enabled = profiler.set_enabled(false);
 
     // All eight workloads — the full suite matrix, so every registered
-    // kernel kind (and both superkernel sites) is on the line.
+    // kernel kind is on the line.
     let scenario = Scenario::with_defaults("profiling-determinism");
     assert_eq!(scenario.workloads.len(), WorkloadKind::ALL.len());
 
@@ -84,10 +84,9 @@ fn profiler_counters_account_for_every_executed_element() {
 
     // Expected totals, derived independently of the profiler: rebuild
     // each cell's proxy and re-execute its DAG (profiling off), summing
-    // what the execution itself reports.  Fusion does not perturb the
-    // accounting — fused edges still record their per-edge runs — and
-    // while profiling *is* on, fusion is suppressed, so each of these
-    // edges is dispatched (and counted) individually.
+    // what the execution itself reports.  The profiler records once per
+    // executed chunk and these cells are unchunked (one chunk per edge),
+    // so each edge is counted exactly once.
     let mut expected_elements = 0u64;
     let mut expected_invocations = 0u64;
     for cell in scenario.expand() {

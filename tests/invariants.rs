@@ -5,7 +5,7 @@
 
 use data_motif_proxy::core::dag::ProxyDag;
 use data_motif_proxy::core::decompose::decompose;
-use data_motif_proxy::core::executor::{DagExecutor, SchedulePolicy};
+use data_motif_proxy::core::executor::DagExecutor;
 use data_motif_proxy::core::features::initial_parameters;
 use data_motif_proxy::core::parameters::{Direction, ParameterId, ProxyParameters};
 use data_motif_proxy::core::ProxyBenchmark;
@@ -38,23 +38,23 @@ fn initial_proxies() -> Vec<ProxyBenchmark> {
 
 /// Satellite gate: the DAG executor's digest and the `ExecutionSummary`
 /// checksum must be identical across `with_max_parallel(1)` vs the
-/// 8-worker work-stealing pool vs the legacy stage-barrier scheduler, and
-/// across repeated runs, for all 8 workloads.
+/// 8-worker work-stealing pool vs 8-worker chunked streaming, and across
+/// repeated runs, for all 8 workloads.
 #[test]
 fn dag_execution_is_identical_across_branch_parallelism_for_all_workloads() {
     let serial = DagExecutor::new().with_max_parallel(1);
     let branchy = DagExecutor::new().with_max_parallel(8);
-    let barrier = DagExecutor::new()
-        .with_policy(SchedulePolicy::StageBarrier)
-        .with_max_parallel(8);
+    let streamed = DagExecutor::new()
+        .with_max_parallel(8)
+        .with_chunk_elements(Some(4096));
     for proxy in initial_proxies() {
         let a = proxy.execute_dag(&serial, 1_000, 17);
         let b = proxy.execute_dag(&branchy, 1_000, 17);
         let c = proxy.execute_dag(&branchy, 1_000, 17);
-        let d = proxy.execute_dag(&barrier, 1_000, 17);
+        let d = proxy.execute_dag(&streamed, 1_000, 17);
         assert_eq!(a, b, "{}: parallelism changed the execution", proxy.name());
         assert_eq!(b, c, "{}: repeated runs differ", proxy.name());
-        assert_eq!(b, d, "{}: policies disagree", proxy.name());
+        assert_eq!(b, d, "{}: streaming changed the execution", proxy.name());
         assert_eq!(
             proxy.execute_sample(1_000, 17).checksum,
             a.checksum,
@@ -94,8 +94,8 @@ proptest! {
 
     /// Satellite gate: for random acyclic topologies — not just the eight
     /// curated workload DAGs — serial execution, the 8-worker
-    /// work-stealing scheduler and the legacy stage-barrier scheduler
-    /// must produce byte-identical executions.
+    /// work-stealing scheduler and 8-worker chunked streaming must
+    /// produce byte-identical executions.
     #[test]
     fn random_acyclic_dags_execute_identically_across_schedulers(
         nodes in 2usize..10,
@@ -108,14 +108,14 @@ proptest! {
         let stealing = DagExecutor::new()
             .with_max_parallel(8)
             .execute(&dag, elements, seed);
-        let barrier = DagExecutor::new()
-            .with_policy(SchedulePolicy::StageBarrier)
+        let streamed = DagExecutor::new()
             .with_max_parallel(8)
+            .with_chunk_elements(Some(4096))
             .execute(&dag, elements, seed);
         prop_assert_eq!(&serial, &stealing,
             "work stealing changed the execution:\n{}", dag.describe());
-        prop_assert_eq!(&serial, &barrier,
-            "stage barrier changed the execution:\n{}", dag.describe());
+        prop_assert_eq!(&serial, &streamed,
+            "chunked streaming changed the execution:\n{}", dag.describe());
     }
 }
 
