@@ -62,7 +62,7 @@ const BASE_SEED: u64 = 0xB10C_DA7A;
 const MIN_WARM_HIT_RATIO: f64 = 0.9;
 
 /// A metric regresses the `--check` gate when it falls below this
-/// fraction of the baseline's (matches `bench_pr8` and `bench_pr9`).
+/// fraction of the baseline's (matches `bench_pr8`).
 const REGRESSION_FLOOR: f64 = 0.75;
 
 /// Segment count for the campaign stores: the sharded layout is the

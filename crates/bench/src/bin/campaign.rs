@@ -4,7 +4,9 @@
 //!
 //! ```text
 //! campaign <scenario.toml> [options]
-//!   --store <path>            persistent result store (JSON lines);
+//!   --store <path>            persistent result store directory, created
+//!                             if missing (a single-file store from an
+//!                             older release is migrated in place);
 //!                             re-runs skip already-computed cells
 //!   --baseline <path>         diff this run against a stored report and
 //!                             exit 1 on accuracy regressions / changed
@@ -21,10 +23,8 @@
 //!                             chunks of at most N elements (bounded peak
 //!                             RSS; results are unchanged; scenario
 //!                             [executor] chunk_elements wins for its run)
-//!   --store-shards <N>        open --store in the sharded layout with N
-//!                             segments (a legacy single-file store is
-//!                             migrated in place; an existing sharded
-//!                             store keeps its own segment count)
+//!   --store-shards <N>        segment count of a new --store (default 8;
+//!                             an existing store keeps its own count)
 //!   --population-size <N>     override (or create) the scenario's
 //!                             [population] with N synthetic workloads
 //!   --population-seed <S>     override the population base seed
@@ -41,12 +41,11 @@
 //!                             without running the campaign
 //!
 //! campaign --compact-store <path>
-//!   standalone maintenance mode: rewrites the store dropping records
-//!   shadowed by first-wins dedup (corrupt lines and torn tails are
-//!   dropped too), then exits.  On a sharded store directory every
-//!   segment is compacted, cross-shard duplicates are dropped, misrouted
-//!   records re-routed home, and the sidecar index rebuilt atomically;
-//!   per-shard stats are printed.
+//!   standalone maintenance mode: rewrites every segment of the store
+//!   dropping records shadowed by first-wins dedup (across shards) and
+//!   torn tails, re-routes misrouted records home, rebuilds the sidecar
+//!   index atomically, prints per-shard stats and exits.  A single-file
+//!   store is migrated into a directory first.
 //! ```
 //!
 //! Exit codes: 0 success, 1 gate failure (regression or hit-ratio miss),
@@ -59,7 +58,8 @@ use dmpb_motifs::workers::WorkerPool;
 use dmpb_population::{PopulationGenerator, TopologyFamily};
 use dmpb_scenario::runner::DEFAULT_WORKERS;
 use dmpb_scenario::{
-    compact_sharded_store, compact_store, read_records, CampaignRunner, ResultStore, Scenario,
+    compact_sharded_store, read_records, CampaignRunner, ResultStore, Scenario,
+    DEFAULT_STORE_SHARDS,
 };
 
 struct Options {
@@ -235,50 +235,30 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = &options.compact_store {
-        let target = std::path::Path::new(path);
-        if target.is_dir() {
-            match compact_sharded_store(target) {
-                Ok(stats) => {
-                    for (shard, stats) in stats.iter().enumerate() {
-                        println!(
-                            "campaign: compacted {path} segment {shard}: {} record(s) kept, \
-                             {} record(s) dropped",
-                            stats.kept, stats.dropped
-                        );
-                    }
-                    let kept: usize = stats.iter().map(|s| s.kept).sum();
-                    let dropped: usize = stats.iter().map(|s| s.dropped).sum();
+        match compact_sharded_store(std::path::Path::new(path)) {
+            Ok(stats) => {
+                for (shard, stats) in stats.iter().enumerate() {
                     println!(
-                        "campaign: compacted {path}: {kept} record(s) kept, {dropped} \
-                         record(s) dropped across {} segment(s); sidecar index rebuilt",
-                        stats.len()
-                    );
-                }
-                Err(e) => {
-                    eprintln!("campaign: cannot compact {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-            if options.scenario_path.is_empty() {
-                return ExitCode::SUCCESS;
-            }
-        } else {
-            match compact_store(target) {
-                Ok(stats) => {
-                    println!(
-                        "campaign: compacted {path}: {} record(s) kept, {} shadowed record(s) \
-                         dropped",
+                        "campaign: compacted {path} segment {shard}: {} record(s) kept, \
+                         {} record(s) dropped",
                         stats.kept, stats.dropped
                     );
-                    if options.scenario_path.is_empty() {
-                        return ExitCode::SUCCESS;
-                    }
                 }
-                Err(e) => {
-                    eprintln!("campaign: cannot compact {path}: {e}");
-                    return ExitCode::from(2);
-                }
+                let kept: usize = stats.iter().map(|s| s.kept).sum();
+                let dropped: usize = stats.iter().map(|s| s.dropped).sum();
+                println!(
+                    "campaign: compacted {path}: {kept} record(s) kept, {dropped} \
+                     record(s) dropped across {} segment(s); sidecar index rebuilt",
+                    stats.len()
+                );
             }
+            Err(e) => {
+                eprintln!("campaign: cannot compact {path}: {e}");
+                return ExitCode::from(2);
+            }
+        }
+        if options.scenario_path.is_empty() {
+            return ExitCode::SUCCESS;
         }
     }
 
@@ -357,9 +337,9 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // The campaign's worker pool doubles as the sharded store's
-    // open-time segment scanner, so the process runs one thread fleet
-    // (the calling thread participates: width − 1 pool threads).
+    // The campaign's worker pool doubles as the store's open-time
+    // segment scanner, so the process runs one thread fleet (the
+    // calling thread participates: width − 1 pool threads).
     let pool = Arc::new(WorkerPool::new(
         options
             .workers
@@ -369,27 +349,17 @@ fn main() -> ExitCode {
     ));
     let store = match &options.store {
         None => ResultStore::in_memory(),
-        Some(path) => {
-            let sharded = options.store_shards.is_some() || std::path::Path::new(path).is_dir();
-            let opened = if sharded {
-                ResultStore::open_sharded_with_pool(
-                    path,
-                    options
-                        .store_shards
-                        .unwrap_or(dmpb_scenario::DEFAULT_STORE_SHARDS),
-                    Some(&pool),
-                )
-            } else {
-                ResultStore::open(path)
-            };
-            match opened {
-                Ok(store) => store,
-                Err(e) => {
-                    eprintln!("campaign: cannot open store: {e}");
-                    return ExitCode::from(2);
-                }
+        Some(path) => match ResultStore::open_sharded_with_pool(
+            path,
+            options.store_shards.unwrap_or(DEFAULT_STORE_SHARDS),
+            Some(&pool),
+        ) {
+            Ok(store) => store,
+            Err(e) => {
+                eprintln!("campaign: cannot open store: {e}");
+                return ExitCode::from(2);
             }
-        }
+        },
     };
     let preloaded = store.stats().entries;
     let mut runner = CampaignRunner::with_store(store).with_worker_pool(pool);

@@ -83,9 +83,8 @@ clusters = ["five-node-westmere"]
     std::fs::remove_file(&path).ok();
 }
 
-#[test]
-fn store_shards_flag_runs_sharded_end_to_end_with_compaction() {
-    let source = r#"
+/// Two cells, small enough for a debug-build CLI run.
+const TWO_CELLS: &str = r#"
 [scenario]
 name = "sharded-cli"
 
@@ -95,10 +94,61 @@ clusters = ["five-node-westmere"]
 elements = [600]
 seeds = [7, 8]
 "#;
-    let path = scenario_file("sharded", source);
-    let dir = std::env::temp_dir().join(format!("dmpb-campaign-cli-shards-{}", std::process::id()));
+
+fn fresh_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("dmpb-campaign-cli-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn assert_success(output: &std::process::Output, what: &str) {
+    assert!(
+        output.status.success(),
+        "{what} failed\nstdout: {}\nstderr: {}",
+        String::from_utf8_lossy(&output.stdout),
+        String::from_utf8_lossy(&output.stderr)
+    );
+}
+
+#[test]
+fn store_flag_creates_a_directory_and_migrates_a_single_file_store() {
+    let path = scenario_file("store-dir", TWO_CELLS);
+    let dir = fresh_dir("store-dir");
+
+    // Without --store-shards, a new --store is still a store directory.
+    let store = dir.join("store");
+    let baseline = dir.join("baseline.jsonl");
+    let output = campaign()
+        .arg(&path)
+        .arg("--store")
+        .arg(&store)
+        .arg("--write-baseline")
+        .arg(&baseline)
+        .output()
+        .expect("campaign binary runs");
+    assert_success(&output, "cold run");
+    assert!(store.is_dir(), "--store must create a store directory");
+
+    // A baseline file has the single-file store format older releases
+    // wrote: pointed at by --store, it is migrated and fully served.
+    let output = campaign()
+        .arg(&path)
+        .arg("--store")
+        .arg(&baseline)
+        .args(["--expect-hit-ratio", "1.0"])
+        .output()
+        .expect("campaign binary runs");
+    assert_success(&output, "warm run over a migrated single-file store");
+    assert!(baseline.is_dir(), "the file must be migrated in place");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn store_shards_flag_runs_sharded_end_to_end_with_compaction() {
+    let path = scenario_file("sharded", TWO_CELLS);
+    let dir = fresh_dir("shards");
     let store = dir.join("store");
 
     // Cold run creates the sharded layout (segments + sidecar).
@@ -107,11 +157,7 @@ seeds = [7, 8]
         .args(["--store", store.to_str().unwrap(), "--store-shards", "4"])
         .output()
         .expect("campaign binary runs");
-    assert!(
-        output.status.success(),
-        "cold sharded run failed\nstderr: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
+    assert_success(&output, "cold sharded run");
     assert!(
         store.is_dir(),
         "--store-shards must create a store directory"
@@ -133,24 +179,15 @@ seeds = [7, 8]
         ])
         .output()
         .expect("campaign binary runs");
-    assert!(
-        output.status.success(),
-        "warm sharded run missed the store\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&output.stdout),
-        String::from_utf8_lossy(&output.stderr)
-    );
+    assert_success(&output, "warm sharded run");
 
     // Maintenance mode: sharded compaction reports per-segment stats.
     let output = campaign()
         .args(["--compact-store", store.to_str().unwrap()])
         .output()
         .expect("campaign binary runs");
+    assert_success(&output, "sharded compaction");
     let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        output.status.success(),
-        "sharded compaction failed\nstderr: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
     assert!(
         stdout.contains("segment 0:") && stdout.contains("sidecar index rebuilt"),
         "compaction must report per-segment stats\nstdout: {stdout}"

@@ -19,11 +19,10 @@
 //! 3. **A content-addressed result store** ([`store`]) — each cell is
 //!    fingerprinted (workload + stack + full cluster/tuning-cluster
 //!    configuration + scale + seed + [`CODE_MODEL_VERSION`]) with the
-//!    workspace FNV hasher; results persist as JSON lines — either one
-//!    legacy file or a sharded store directory (`segment-<k>.jsonl` per
-//!    `fingerprint % N` shard, plus a sidecar index for replay-free
-//!    warm opens) — and re-runs skip every already-computed cell,
-//!    byte-identically.
+//!    workspace FNV hasher; results persist as JSON lines in a store
+//!    directory (`segment-<k>.jsonl` per `fingerprint % N` shard, plus
+//!    a sidecar index for replay-free warm opens) — and re-runs skip
+//!    every already-computed cell, byte-identically.
 //! 4. **A batch campaign runner** ([`runner`]) — cells are batched onto
 //!    one persistent work-stealing
 //!    [`WorkerPool`](dmpb_motifs::workers::WorkerPool) shared with the
@@ -54,7 +53,7 @@ pub use runner::{
     CampaignDiff, CampaignError, CampaignReport, CampaignRunner, CellObserver, CellOutcome,
 };
 pub use store::{
-    compact_sharded_store, compact_store, load_records_recovering, read_records, read_store_meta,
+    compact_sharded_store, load_records_recovering, read_records, read_store_meta,
     read_store_records, segment_path, shard_for, CellResult, CompactionStats, LoadedRecords,
     PopulationResult, ResultStore, StoreStats, TornTail, DEFAULT_STORE_SHARDS, META_FILE,
     SIDECAR_FILE,

@@ -15,33 +15,31 @@
 //! for field and byte for byte — from one computed cold.  The campaign
 //! determinism tests pin that invariant.
 //!
-//! # Store layouts
+//! # Store layout
 //!
-//! Two on-disk layouts exist, both built from the same JSONL record
-//! format:
+//! A persistent store is one directory: `segment-<k>.jsonl` × N with
+//! `shard = fingerprint % N` ([`shard_for`]), a `store-meta.json`
+//! manifest pinning N, and a sidecar `index.jsonl` mapping
+//! fingerprint → (segment, byte offset, line digest).  `N = 1` covers
+//! small stores.  Each shard has its own index mutex and its own writer
+//! mutex, so concurrent campaign workers appending to different shards
+//! share no lock — and an insert only parks the record on its shard's
+//! pending queue; the serialization, the appends and the flush all
+//! happen in one batch per [`ResultStore::sync`] per campaign (and on
+//! drop) instead of once per record.
 //!
-//! * **Legacy single file** — one append-only `*.jsonl`, one index
-//!   lock, one `flush()` per insert.  Still fully supported: plain
-//!   [`ResultStore::open`] on a file path serves it unchanged.
-//! * **Sharded directory** (PR 9) — `segment-<k>.jsonl` × N with
-//!   `shard = fingerprint % N` ([`shard_for`]), a `store-meta.json`
-//!   manifest pinning N, and a sidecar `index.jsonl` mapping
-//!   fingerprint → (segment, byte offset, line digest).  Each shard has
-//!   its own index mutex and its own writer mutex, so concurrent
-//!   campaign workers appending to different shards share no lock — and
-//!   an insert only parks the record on its shard's pending queue; the
-//!   serialization, the appends and the flush all happen in one batch
-//!   per [`ResultStore::sync`] per campaign (and on drop) instead of
-//!   once per record.
+//! A warm [`ResultStore::open`] loads only the sidecar — records stay
+//! on disk until a lookup touches them, at which point the line is read
+//! at its recorded offset, digest-verified and cached as an `Arc`.
+//! When the sidecar is missing or stale (segment lengths drifted — the
+//! footprint of a crash before `sync`), `open` falls back to scanning
+//! all segments in parallel, with the torn-tail recovery applied per
+//! segment.
 //!
-//! A warm [`ResultStore::open`] of a sharded store loads only the
-//! sidecar — records stay on disk until a lookup touches them, at which
-//! point the line is read at its recorded offset, digest-verified and
-//! cached as an `Arc`.  When the sidecar is missing or stale (segment
-//! lengths drifted — the footprint of a crash before `sync`), `open`
-//! falls back to scanning all segments in parallel, with the torn-tail
-//! recovery applied per segment.  [`ResultStore::open_sharded`] on a
-//! legacy file migrates it into segments in place, crash-safely.
+//! Older releases wrote a single append-only `*.jsonl` file.  Opening
+//! such a file migrates it into a store directory in place, crash-safely;
+//! that migration is the only way the old format is still read as a
+//! store.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -478,53 +476,15 @@ pub fn load_records_recovering(path: &Path) -> Result<LoadedRecords, String> {
     Ok(loaded)
 }
 
-/// Outcome of a [`compact_store`] rewrite.
+/// Outcome of a [`compact_sharded_store`] rewrite, for one segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionStats {
     /// Records surviving compaction (one per distinct fingerprint).
     pub kept: usize,
     /// Records dropped: appends shadowed by an earlier record with the
     /// same fingerprint (first wins, matching [`ResultStore`] load
-    /// semantics), plus a torn final line if the file had one.
+    /// semantics), plus a torn final line if the segment had one.
     pub dropped: usize,
-}
-
-/// Rewrites a JSONL store file, dropping every record shadowed by
-/// first-wins fingerprint dedup (the footprint of racing workers or of
-/// concatenated store files), interior blank lines, and a torn final
-/// line.  Surviving records keep first-appearance order, so the
-/// compacted file loads to exactly the index the original did and
-/// parses with the strict [`read_records`] reader.
-///
-/// The rewrite goes through a temporary sibling file and an atomic
-/// rename: a crash mid-compaction leaves either the old or the new
-/// file, never a half-written one.  Do not compact a file another
-/// process has open for appending — the rename strands that process's
-/// file handle on the replaced inode.
-pub fn compact_store(path: &Path) -> Result<CompactionStats, String> {
-    let loaded = load_records_recovering(path)?;
-    let torn = usize::from(loaded.torn_tail.is_some());
-    let total = loaded.records.len();
-    let mut seen = std::collections::HashSet::with_capacity(total);
-    let mut out = String::new();
-    let mut kept = 0usize;
-    for record in loaded.records {
-        if seen.insert(record.fingerprint) {
-            out.push_str(&record.to_line());
-            out.push('\n');
-            kept += 1;
-        }
-    }
-    let tmp = path.with_extension("jsonl.compact-tmp");
-    std::fs::write(&tmp, out).map_err(|e| format!("{}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        std::fs::remove_file(&tmp).ok();
-        format!("{} -> {}: {e}", tmp.display(), path.display())
-    })?;
-    Ok(CompactionStats {
-        kept,
-        dropped: total - kept + torn,
-    })
 }
 
 /// Hit/miss counters of a [`ResultStore`].
@@ -645,12 +605,8 @@ struct ShardWriter {
     /// Byte length of the segment *including* buffered-but-unflushed
     /// appends — the offset the next record lands at.
     offset: u64,
-    /// Legacy single-file stores keep their pre-shard durability
-    /// contract (serialize, write and flush inside every insert);
-    /// sharded segments defer all of that to [`ResultStore::sync`].
-    flush_each: bool,
-    /// Records accepted but not yet serialized or written (sharded
-    /// stores only).  `insert` just parks the `Arc` here; the next
+    /// Records accepted but not yet serialized or written.  `insert`
+    /// just parks the `Arc` here; the next
     /// [`ResultStore::sync`] serializes, appends and flushes the whole
     /// batch — that is what keeps the insert critical path off the
     /// serialization and syscall costs.
@@ -690,40 +646,26 @@ impl Shard {
     }
 }
 
-/// On-disk layout of a [`ResultStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Layout {
-    /// No backing files; results live for the process only.
-    Memory,
-    /// The pre-PR-9 format: one append-only JSONL file, one shard, a
-    /// flush per record.  Kept readable (and writable) forever.
-    LegacyFile,
-    /// A directory of `segment-<k>.jsonl` files plus the sidecar index.
-    Sharded,
-}
-
 /// Everything a segment scan recovers for one shard.
 struct SegmentLoad {
     index: HashMap<u64, Slot>,
     recovered: Option<TornTail>,
 }
 
-/// A content-addressed map from cell fingerprints to results, backed by
-/// either a legacy single JSONL file or a sharded store directory
-/// (`segment-<k>.jsonl` segments, shard = `fingerprint % N`, plus a
-/// sidecar `index.jsonl` that makes reopening O(index) instead of
-/// O(records)).
+/// A content-addressed map from cell fingerprints to results, optionally
+/// backed by a store directory (`segment-<k>.jsonl` segments, shard =
+/// `fingerprint % N`, plus a sidecar `index.jsonl` that makes reopening
+/// O(index) instead of O(records)).
 ///
-/// Thread-safe: campaign workers probe and fill it concurrently, and in
-/// the sharded layout writers on different shards never contend.  On a
-/// fingerprint collision between an existing and a new entry the existing
-/// one wins — results are deterministic functions of their address, so
-/// the two are identical anyway.
+/// Thread-safe: campaign workers probe and fill it concurrently, and
+/// writers on different shards never contend.  On a fingerprint
+/// collision between an existing and a new entry the existing one wins —
+/// results are deterministic functions of their address, so the two are
+/// identical anyway.
 #[derive(Debug)]
 pub struct ResultStore {
     shards: Vec<Shard>,
-    layout: Layout,
-    /// The backing file (legacy) or store directory (sharded).
+    /// The store directory; `None` for an in-memory store.
     path: Option<PathBuf>,
     /// Set after the first failed append: the store keeps serving (and
     /// accepting) results in memory but stops touching the sick files.
@@ -748,12 +690,10 @@ impl ResultStore {
     }
 
     /// An unpersisted store with an explicit shard count (≥ 1; `shards =
-    /// 1` reproduces the old single-lock behavior, which the concurrency
-    /// benches use as their baseline).
+    /// 1` puts every fingerprint behind one index lock).
     pub fn in_memory_with_shards(shards: usize) -> Self {
         Self {
             shards: (0..shards.max(1)).map(|_| Shard::memory()).collect(),
-            layout: Layout::Memory,
             path: None,
             persist_disabled: AtomicBool::new(false),
             persist_error: Mutex::new(None),
@@ -763,45 +703,39 @@ impl ResultStore {
         }
     }
 
-    /// Opens (or creates) a persistent store at `path`, auto-detecting
-    /// the layout: an existing directory opens as a sharded store (its
-    /// manifest fixes the shard count), anything else as a legacy
-    /// single-file store.  Use [`ResultStore::open_sharded`] to create a
-    /// sharded store or migrate a legacy file into one.
+    /// Opens (or creates) a persistent store at `path`; a new store gets
+    /// [`DEFAULT_STORE_SHARDS`] segments.  See
+    /// [`ResultStore::open_sharded_with_pool`].
     ///
     /// A malformed *final* line (the footprint of a crash mid-append) is
     /// truncated away with a warning instead of bricking the store;
     /// malformed interior lines are still hard errors.  See
     /// [`ResultStore::recovered_tails`] for the discarded tails, if any.
     pub fn open(path: impl Into<PathBuf>) -> Result<Self, String> {
-        let path = path.into();
-        if path.is_dir() {
-            Self::open_dir(path, None, None)
-        } else {
-            Self::open_legacy(path)
-        }
+        Self::open_sharded_with_pool(path, DEFAULT_STORE_SHARDS, None)
     }
 
-    /// Opens (or creates) a sharded store at `path` with `shards`
-    /// segments.  See [`ResultStore::open_sharded_with_pool`].
+    /// Opens (or creates) a persistent store at `path`; a new store gets
+    /// `shards` segments.  See [`ResultStore::open_sharded_with_pool`].
     pub fn open_sharded(path: impl Into<PathBuf>, shards: usize) -> Result<Self, String> {
         Self::open_sharded_with_pool(path, shards, None)
     }
 
-    /// Opens (or creates) a sharded store at `path` with `shards`
-    /// segments, scanning segments on `pool` when the sidecar index is
-    /// missing or stale (one scan task per segment; without a pool the
-    /// scan uses scoped OS threads).
+    /// Opens (or creates) a persistent store at `path`, scanning
+    /// segments on `pool` when the sidecar index is missing or stale
+    /// (one scan task per segment; without a pool the scan uses scoped
+    /// OS threads).
     ///
-    /// * `path` missing — a fresh store directory is created.
-    /// * `path` is a legacy single-file store — it is transparently
-    ///   migrated in place: records are routed to their segments, the
-    ///   sidecar is written, and the original file is removed (a crash
-    ///   mid-migration leaves either the legacy file or the directory,
-    ///   never neither).
-    /// * `path` is an existing sharded store — its manifest's shard
-    ///   count wins; a differing `shards` request is noted and ignored
-    ///   (re-sharding is a [`compact_sharded_store`] job, not an open).
+    /// * `path` missing — a fresh store directory with `shards` segments
+    ///   is created.
+    /// * `path` is an existing store directory — its manifest's shard
+    ///   count wins and `shards` is ignored.
+    /// * `path` is a single JSONL file written by an older release — it
+    ///   is migrated in place into `shards` segments: the file is renamed
+    ///   to `<name>.migrating`, the directory is built at `path`, and the
+    ///   backup is removed.  If a crash interrupts that, the next open
+    ///   finds the backup, removes the half-built directory, restores
+    ///   the file and migrates again.
     pub fn open_sharded_with_pool(
         path: impl Into<PathBuf>,
         shards: usize,
@@ -811,72 +745,21 @@ impl ResultStore {
         if shards == 0 {
             return Err("store shard count must be at least 1".to_string());
         }
+        restore_interrupted_migration(&path)?;
         if path.is_file() {
             migrate_legacy_store(&path, shards)?;
         }
-        Self::open_dir(path, Some(shards), pool)
+        Self::open_dir(path, shards, pool)
     }
 
-    /// The legacy single-file layout: one shard over one append-only
-    /// JSONL file, flushing every record (the pre-shard durability
-    /// contract — a legacy store is always byte-complete on disk).
-    fn open_legacy(path: PathBuf) -> Result<Self, String> {
-        let mut index = HashMap::new();
-        let mut recovered_tails = Vec::new();
-        if path.exists() {
-            let loaded = load_segment(&path, &mut recovered_tails)?;
-            index = loaded.index;
-            debug_assert!(loaded.recovered.is_none() || !recovered_tails.is_empty());
-        } else if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| format!("{}: {e}", parent.display()))?;
-            }
-        }
-        let writer = open_segment_writer(&path, true)?;
-        let shard = Shard {
-            index: Mutex::new(index),
-            writer: Some(Mutex::new(writer)),
-            path: Some(path.clone()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            persist_errors: AtomicU64::new(0),
-        };
-        Ok(Self {
-            shards: vec![shard],
-            layout: Layout::LegacyFile,
-            path: Some(path),
-            persist_disabled: AtomicBool::new(false),
-            persist_error: Mutex::new(None),
-            recovered_tails,
-            opened_from_sidecar: false,
-            sidecar_stale: AtomicBool::new(false),
-        })
-    }
-
-    /// Opens a sharded store directory, creating it if absent.  The
-    /// sidecar index is used when it is present and consistent with the
-    /// segments; otherwise every segment is scanned (in parallel) with
-    /// per-segment torn-tail recovery.
-    fn open_dir(
-        dir: PathBuf,
-        requested_shards: Option<usize>,
-        pool: Option<&WorkerPool>,
-    ) -> Result<Self, String> {
+    /// Opens a store directory, creating it with `shards` segments if
+    /// absent.  The sidecar index is used when it is present and
+    /// consistent with the segments; otherwise every segment is scanned
+    /// (in parallel) with per-segment torn-tail recovery.
+    fn open_dir(dir: PathBuf, shards: usize, pool: Option<&WorkerPool>) -> Result<Self, String> {
         let shards = if dir.is_dir() {
-            let existing = read_store_meta(&dir)?;
-            if let Some(requested) = requested_shards {
-                if requested != existing {
-                    eprintln!(
-                        "note: result store {} already has {existing} segment(s); \
-                         ignoring --store-shards {requested} (re-shard via compaction)",
-                        dir.display()
-                    );
-                }
-            }
-            existing
+            read_store_meta(&dir)?
         } else {
-            let shards = requested_shards.unwrap_or(DEFAULT_STORE_SHARDS);
             std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
             write_store_meta(&dir, shards)?;
             for k in 0..shards {
@@ -909,7 +792,7 @@ impl ResultStore {
         let mut store_shards = Vec::with_capacity(shards);
         for (k, index) in indexes.into_iter().enumerate() {
             let path = segment_path(&dir, k);
-            let writer = open_segment_writer(&path, false)?;
+            let writer = open_segment_writer(&path)?;
             store_shards.push(Shard {
                 index: Mutex::new(index),
                 writer: Some(Mutex::new(writer)),
@@ -921,7 +804,6 @@ impl ResultStore {
         }
         Ok(Self {
             shards: store_shards,
-            layout: Layout::Sharded,
             path: Some(dir),
             persist_disabled: AtomicBool::new(false),
             persist_error: Mutex::new(None),
@@ -932,19 +814,13 @@ impl ResultStore {
         })
     }
 
-    /// Number of shards (1 for in-memory-default… no: legacy and
-    /// single-shard stores report 1).
+    /// Number of shards (for a persistent store, its segment count).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    /// Whether the store uses the sharded directory layout.
-    pub fn is_sharded(&self) -> bool {
-        self.layout == Layout::Sharded
-    }
-
     /// Whether `open` was served by the sidecar index (no segment
-    /// replay).  Always `false` for legacy and in-memory stores.
+    /// replay).  Always `false` for in-memory stores.
     pub fn opened_from_sidecar(&self) -> bool {
         self.opened_from_sidecar
     }
@@ -968,8 +844,7 @@ impl ResultStore {
             .clone()
     }
 
-    /// The backing file (legacy) or store directory (sharded), if the
-    /// store persists.
+    /// The store directory, if the store persists.
     pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()
     }
@@ -1108,107 +983,46 @@ impl ResultStore {
         }
     }
 
-    /// Stores a result under its fingerprint, appending it to its
-    /// shard's segment.  A result already present under the same
-    /// fingerprint is kept and not re-appended.
+    /// Stores a result under its fingerprint.  A result already present
+    /// under the same fingerprint is kept and not re-appended.
     ///
-    /// Sharded stores defer serialization and the append itself to
+    /// Serialization and the append itself are deferred to
     /// [`ResultStore::sync`] (one batch per campaign): the insert
     /// critical path is a shard-index insert plus parking the `Arc` on
     /// the shard's pending queue, so concurrent writers spend no time
-    /// on JSON formatting, digests or syscalls.  Legacy single-file
-    /// stores keep their pre-shard contract — serialize, write and
-    /// flush every record inside the insert.  A failed append (full
-    /// disk, EIO, revoked handle) must not kill a batch run or a
-    /// daemon: the error is recorded, a warning is printed and the
-    /// store degrades to in-memory — the in-memory insert always
-    /// succeeds.  Returns the persistence error, if this append hit
-    /// one (deferred appends surface theirs at `sync`).
+    /// on JSON formatting, digests or syscalls.  A failed append (full
+    /// disk, EIO, revoked handle) surfaces at `sync` and must not kill a
+    /// batch run or a daemon: the error is recorded, a warning is
+    /// printed and the store degrades to in-memory.  The in-memory
+    /// insert always succeeds, so this currently always returns `Ok`.
     pub fn insert(&self, record: CellResult) -> Result<(), String> {
-        let shard_idx = shard_for(record.fingerprint, self.shards.len());
-        let shard = &self.shards[shard_idx];
-        let fingerprint = record.fingerprint;
-        let flush_each = match &shard.writer {
-            Some(writer) => {
-                writer
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .flush_each
-            }
-            None => false,
-        };
-        // Legacy stores serialize eagerly — outside every lock; the
-        // line is both the bytes to append and the sidecar digest
-        // source.  Sharded stores skip this entirely until `sync`.
-        let eager = if flush_each {
-            let line = record.to_line();
-            let digest = hash_bytes(line.as_bytes());
-            Some((line, digest))
-        } else {
-            None
-        };
+        let shard = &self.shards[shard_for(record.fingerprint, self.shards.len())];
         let record = Arc::new(record);
-        let fresh = {
+        {
             let mut index = shard.lock_index();
-            match index.entry(fingerprint) {
-                std::collections::hash_map::Entry::Occupied(_) => false,
+            match index.entry(record.fingerprint) {
+                std::collections::hash_map::Entry::Occupied(_) => return Ok(()),
                 std::collections::hash_map::Entry::Vacant(slot) => {
                     slot.insert(Slot::Loaded {
                         record: Arc::clone(&record),
                         offset: None,
-                        digest: eager.as_ref().map_or(0, |(_, digest)| *digest),
+                        digest: 0,
                     });
-                    true
                 }
             }
-        };
-        if !fresh || self.persist_disabled.load(Ordering::Acquire) {
+        }
+        if self.persist_disabled.load(Ordering::Acquire) {
             return Ok(());
         }
-        let Some(writer) = &shard.writer else {
-            return Ok(());
-        };
-        let Some((line, _)) = eager else {
-            // Sharded: park the record; `sync` serializes and appends
-            // the whole batch with one flush per segment.
+        if let Some(writer) = &shard.writer {
             writer
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .pending
                 .push(record);
             self.sidecar_stale.store(true, Ordering::Release);
-            return Ok(());
-        };
-        let appended = {
-            let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-            let offset = w.offset;
-            let result = w
-                .file
-                .write_all(line.as_bytes())
-                .and_then(|()| w.file.write_all(b"\n"))
-                .and_then(|()| w.file.flush());
-            match result {
-                Ok(()) => {
-                    w.offset = offset + line.len() as u64 + 1;
-                    Ok(offset)
-                }
-                Err(e) => Err(e),
-            }
-        };
-        match appended {
-            Ok(offset) => {
-                self.sidecar_stale.store(true, Ordering::Release);
-                if let Some(Slot::Loaded {
-                    offset: slot_offset,
-                    ..
-                }) = shard.lock_index().get_mut(&fingerprint)
-                {
-                    *slot_offset = Some(offset);
-                }
-                Ok(())
-            }
-            Err(e) => Err(self.record_persist_failure(shard_idx, &e.to_string())),
         }
+        Ok(())
     }
 
     /// Registers a persistence failure on a shard: counts it, degrades
@@ -1296,7 +1110,7 @@ impl ResultStore {
     }
 
     /// Serializes, appends and flushes every shard's pending records
-    /// and, for sharded stores, atomically rewrites the sidecar index
+    /// and, when the sidecar index is stale, atomically rewrites it
     /// (tmp + rename) so the next `open` skips the segment replay.
     /// Called by the campaign runner at the end of every campaign and
     /// by `Drop`; safe (and cheap) to call at any time.
@@ -1307,8 +1121,10 @@ impl ResultStore {
         for shard_idx in 0..self.shards.len() {
             self.drain_shard(shard_idx)?;
         }
-        if self.layout == Layout::Sharded && self.sidecar_stale.load(Ordering::Acquire) {
-            let dir = self.path.as_deref().expect("sharded stores have a path");
+        let Some(dir) = self.path.as_deref() else {
+            return Ok(());
+        };
+        if self.sidecar_stale.load(Ordering::Acquire) {
             self.write_sidecar(dir).map_err(|e| {
                 let message = format!("sidecar index: {e}");
                 eprintln!(
@@ -1428,9 +1244,9 @@ fn sidecar_entry_line(fingerprint: u64, segment: usize, offset: u64, digest: u64
     w.finish()
 }
 
-/// Opens a segment (or legacy) file for appending, returning its writer
-/// positioned at the current end.
-fn open_segment_writer(path: &Path, flush_each: bool) -> Result<ShardWriter, String> {
+/// Opens a segment file for appending, returning its writer positioned
+/// at the current end.
+fn open_segment_writer(path: &Path) -> Result<ShardWriter, String> {
     let file = OpenOptions::new()
         .create(true)
         .append(true)
@@ -1443,7 +1259,6 @@ fn open_segment_writer(path: &Path, flush_each: bool) -> Result<ShardWriter, Str
     Ok(ShardWriter {
         file: BufWriter::new(file),
         offset,
-        flush_each,
         pending: Vec::new(),
     })
 }
@@ -1653,12 +1468,46 @@ fn load_sidecar(dir: &Path, shards: usize) -> Result<Option<Vec<HashMap<u64, Slo
     Ok(Some(indexes))
 }
 
-/// Migrates a legacy single-file store into the sharded layout, in
-/// place: records are routed to `segment-<k>.jsonl` by fingerprint, the
-/// manifest and sidecar are written, and the legacy file is removed.
-/// Crash-safe by construction — the legacy file is first renamed aside,
-/// so an interrupted migration leaves either the renamed legacy file or
-/// the finished directory, never a half-written mix at `path`.
+/// Where [`migrate_legacy_store`] parks a single-file store while the
+/// directory is built in its place.
+fn migration_backup(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".migrating");
+    path.with_file_name(name)
+}
+
+/// Undoes a migration a crash interrupted: while the backup exists, the
+/// directory at `path` may lack segments or the sidecar, so it is
+/// removed and the single file is put back for a fresh migration.
+fn restore_interrupted_migration(path: &Path) -> Result<(), String> {
+    let backup = migration_backup(path);
+    if !backup.is_file() {
+        return Ok(());
+    }
+    if path.is_dir() {
+        std::fs::remove_dir_all(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    } else if path.exists() {
+        return Err(format!(
+            "{} and the interrupted-migration backup {} both exist; remove one",
+            path.display(),
+            backup.display()
+        ));
+    }
+    std::fs::rename(&backup, path)
+        .map_err(|e| format!("{} -> {}: {e}", backup.display(), path.display()))?;
+    eprintln!(
+        "note: result store {}: redoing a migration that was interrupted",
+        path.display()
+    );
+    Ok(())
+}
+
+/// Migrates a single-file store into a store directory, in place:
+/// records are routed to `segment-<k>.jsonl` by fingerprint, the
+/// manifest and sidecar are written, and the file is removed.  The file
+/// is first renamed to its [`migration_backup`], which is removed only
+/// once the directory is complete; a crash in between is undone by
+/// [`restore_interrupted_migration`] at the next open.
 fn migrate_legacy_store(path: &Path, shards: usize) -> Result<(), String> {
     let loaded = load_records_recovering(path)?;
     if let Some(tail) = &loaded.torn_tail {
@@ -1672,18 +1521,15 @@ fn migrate_legacy_store(path: &Path, shards: usize) -> Result<(), String> {
             shards
         );
     }
-    let backup = path.with_file_name(format!(
-        "{}.migrating",
-        path.file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("store.jsonl")
-    ));
+    let backup = migration_backup(path);
     std::fs::rename(path, &backup)
         .map_err(|e| format!("{} -> {}: {e}", path.display(), backup.display()))?;
     let built = write_sharded_layout(path, shards, &loaded.records);
     match built {
         Ok(()) => {
-            std::fs::remove_file(&backup).ok();
+            // A backup left behind would make the next open redo the
+            // migration over records added since, so failing is safer.
+            std::fs::remove_file(&backup).map_err(|e| format!("{}: {e}", backup.display()))?;
             eprintln!(
                 "note: migrated legacy result store {} into {} segment(s)",
                 path.display(),
@@ -1759,11 +1605,14 @@ fn write_sharded_layout(dir: &Path, shards: usize, records: &[CellResult]) -> Re
     })
 }
 
-/// Compacts a sharded store directory: every segment is rewritten with
+/// Compacts a store directory: every segment is rewritten with
 /// first-wins fingerprint dedup applied *across* shards (in segment,
 /// then offset order), records sitting in the wrong segment (the
 /// footprint of a hand-assembled store) are re-routed home, torn tails
-/// are dropped, and the sidecar index is rebuilt atomically.
+/// are dropped, and the sidecar index is rebuilt atomically.  Given a
+/// single-file store from an older release, it first migrates the file
+/// into [`DEFAULT_STORE_SHARDS`] segments, as [`ResultStore::open`]
+/// would.
 ///
 /// Returns one [`CompactionStats`] per shard: `kept` counts the records
 /// the segment holds *after* compaction, `dropped` counts the records
@@ -1773,6 +1622,10 @@ fn write_sharded_layout(dir: &Path, shards: usize, records: &[CellResult]) -> Re
 /// Do not compact a store another process has open for appending — the
 /// renames strand that process's handles on the replaced inodes.
 pub fn compact_sharded_store(dir: &Path) -> Result<Vec<CompactionStats>, String> {
+    restore_interrupted_migration(dir)?;
+    if dir.is_file() {
+        migrate_legacy_store(dir, DEFAULT_STORE_SHARDS)?;
+    }
     let shards = read_store_meta(dir)?;
     let mut routed: Vec<Vec<CellResult>> = (0..shards).map(|_| Vec::new()).collect();
     let mut kept_from = vec![0usize; shards];
@@ -1818,9 +1671,9 @@ pub fn compact_sharded_store(dir: &Path) -> Result<Vec<CompactionStats>, String>
     Ok(stats)
 }
 
-/// Reads every record of a store — legacy file or sharded directory —
-/// with the strict reader (any malformed line is an error).  Sharded
-/// stores are read segment by segment in segment order.
+/// Reads every record of a store directory (or of a single JSONL file)
+/// with the strict reader (any malformed line is an error).  A
+/// directory is read segment by segment in segment order.
 pub fn read_store_records(path: &Path) -> Result<Vec<CellResult>, String> {
     if !path.is_dir() {
         return read_records(path);
@@ -1896,10 +1749,10 @@ mod tests {
         assert!(err.contains("pop_rank"), "{err}");
     }
 
-    /// PR 10's fingerprint fix: a synthetic cell that matches a named
-    /// cell on every legacy axis (carrier kind, cluster, architecture,
-    /// elements, seed) must neither be served the named cell's stored
-    /// result nor shadow it — in both store layouts.
+    /// A synthetic cell that matches a named cell on every non-population
+    /// axis (carrier kind, cluster, architecture, elements, seed) must
+    /// neither be served the named cell's stored result nor shadow it —
+    /// in memory and on disk.
     #[test]
     fn synthetic_cells_never_shadow_named_results_in_either_store_layout() {
         use dmpb_population::PopulationSpec;
@@ -1921,9 +1774,9 @@ mod tests {
 
         let template = sample_result();
         let dir = temp_store_dir("no-shadow");
-        let legacy = ResultStore::open(dir.join("legacy.jsonl")).unwrap();
+        let memory = ResultStore::in_memory();
         let sharded = ResultStore::open_sharded(dir.join("sharded"), 4).unwrap();
-        for store in [&legacy, &sharded] {
+        for store in [&memory, &sharded] {
             // Direction 1: a stored named result is not served to the
             // synthetic cell.
             let mut named_result = template.clone();
@@ -1943,14 +1796,12 @@ mod tests {
         }
 
         // Persistence keeps them distinct too.
-        drop((legacy, sharded));
-        for path in [dir.join("legacy.jsonl"), dir.join("sharded")] {
-            let reopened = ResultStore::open(&path).unwrap();
-            assert_ne!(
-                reopened.lookup(named_fp).unwrap().checksum,
-                reopened.lookup(synthetic_fp).unwrap().checksum
-            );
-        }
+        drop(sharded);
+        let reopened = ResultStore::open(dir.join("sharded")).unwrap();
+        assert_ne!(
+            reopened.lookup(named_fp).unwrap().checksum,
+            reopened.lookup(synthetic_fp).unwrap().checksum
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1975,8 +1826,9 @@ mod tests {
             std::process::id(),
             result.digest()
         ));
-        let path = dir.join("results.jsonl");
+        let path = dir.join("results");
         let store = ResultStore::open(&path).unwrap();
+        assert!(path.is_dir(), "a new store is a directory");
         assert_eq!(store.lookup(result.fingerprint), None);
         store.insert(result.clone()).unwrap();
         store.insert(result.clone()).unwrap(); // dedup: not re-appended
@@ -1990,7 +1842,7 @@ mod tests {
         assert_eq!(served.to_line(), result.to_line());
         let stats = reopened.stats();
         assert_eq!((stats.hits, stats.misses), (1, 0));
-        assert_eq!(read_records(&path).unwrap().len(), 1);
+        assert_eq!(read_store_records(&path).unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2022,42 +1874,14 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn torn_final_line_is_truncated_on_reopen() {
-        let result = sample_result();
-        let dir = temp_store_dir("torn-tail");
-        let path = dir.join("results.jsonl");
-        {
-            let store = ResultStore::open(&path).unwrap();
-            store.insert(result.clone()).unwrap();
-        }
-        // A crash mid-append leaves a partial final line.
-        let torn = &result.to_line()[..40];
-        {
-            let mut file = OpenOptions::new().append(true).open(&path).unwrap();
-            write!(file, "{torn}").unwrap();
-        }
-        assert!(
-            read_records(&path).is_err(),
-            "the strict reader must reject the torn tail"
-        );
-
-        let reopened = ResultStore::open(&path).expect("torn tail must not brick the store");
-        assert_eq!(reopened.stats().entries, 1);
-        let tail = reopened.recovered_tail().expect("tail was recovered");
-        assert_eq!(tail.line, 2);
-        assert_eq!(tail.discarded_bytes, torn.len() as u64);
-        assert_eq!(reopened.lookup(result.fingerprint).unwrap(), result);
-
-        // The truncated file appends cleanly and parses strictly again.
-        let mut second = result.clone();
-        second.fingerprint ^= 0x5eed;
-        reopened.insert(second.clone()).unwrap();
-        drop(reopened);
-        let records = read_records(&path).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[1].fingerprint, second.fingerprint);
-        std::fs::remove_dir_all(&dir).ok();
+    /// A fresh one-segment store directory with its sidecar removed, so
+    /// the next open scans the segment.
+    fn one_segment_store(tag: &str) -> (PathBuf, PathBuf) {
+        let dir = temp_store_dir(tag);
+        let store = dir.join("store");
+        drop(ResultStore::open_sharded(&store, 1).unwrap());
+        std::fs::remove_file(store.join(SIDECAR_FILE)).unwrap();
+        (dir, store)
     }
 
     #[test]
@@ -2065,28 +1889,31 @@ mod tests {
         // The tear can land between the payload and its '\n': the record
         // is intact but appending blindly would glue two lines together.
         let result = sample_result();
-        let dir = temp_store_dir("torn-newline");
-        let path = dir.join("results.jsonl");
-        std::fs::write(&path, result.to_line()).unwrap(); // no trailing '\n'
+        let (dir, store_dir) = one_segment_store("torn-newline");
+        let segment = segment_path(&store_dir, 0);
+        std::fs::write(&segment, result.to_line()).unwrap(); // no trailing '\n'
 
-        let store = ResultStore::open(&path).unwrap();
+        let store = ResultStore::open(&store_dir).unwrap();
         assert_eq!(store.stats().entries, 1);
         assert!(store.recovered_tail().is_none());
         let mut second = result.clone();
         second.fingerprint ^= 0xbeef;
         store.insert(second).unwrap();
         drop(store);
-        assert_eq!(read_records(&path).unwrap().len(), 2);
+        assert_eq!(read_records(&segment).unwrap().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn interior_corruption_is_still_a_hard_error() {
         let result = sample_result();
-        let dir = temp_store_dir("interior");
-        let path = dir.join("results.jsonl");
-        std::fs::write(&path, format!("garbage not json\n{}\n", result.to_line())).unwrap();
-        let err = ResultStore::open(&path).unwrap_err();
+        let (dir, store_dir) = one_segment_store("interior");
+        std::fs::write(
+            segment_path(&store_dir, 0),
+            format!("garbage not json\n{}\n", result.to_line()),
+        )
+        .unwrap();
+        let err = ResultStore::open(&store_dir).unwrap_err();
         assert!(err.contains("line 1"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2095,46 +1922,52 @@ mod tests {
     fn append_failure_degrades_to_in_memory_without_panicking() {
         let result = sample_result();
         let dir = temp_store_dir("io-degrade");
-        let path = dir.join("results.jsonl");
+        let path = segment_path(&dir, 0);
         std::fs::write(&path, "").unwrap();
         // A read-only handle makes every append fail with a real I/O
         // error (EBADF), standing in for a full disk or EIO.
         let shard = Shard {
-            index: Mutex::new(HashMap::new()),
             writer: Some(Mutex::new(ShardWriter {
                 file: BufWriter::new(File::open(&path).unwrap()),
                 offset: 0,
-                flush_each: true,
                 pending: Vec::new(),
             })),
             path: Some(path.clone()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            persist_errors: AtomicU64::new(0),
+            ..Shard::memory()
         };
         let store = ResultStore {
             shards: vec![shard],
-            layout: Layout::LegacyFile,
-            path: Some(path.clone()),
+            path: Some(dir.clone()),
             persist_disabled: AtomicBool::new(false),
             persist_error: Mutex::new(None),
             recovered_tails: Vec::new(),
             opened_from_sidecar: false,
             sidecar_stale: AtomicBool::new(false),
         };
-        let err = store.insert(result.clone()).unwrap_err();
-        assert!(err.contains("results.jsonl"), "{err}");
+        // The insert only parks the record; the append fails at sync.
+        store.insert(result.clone()).unwrap();
+        let err = store.sync().unwrap_err();
+        assert!(err.contains("segment-0.jsonl"), "{err}");
         // The result is still served from memory; the error is recorded.
         assert_eq!(store.lookup(result.fingerprint).unwrap(), result);
         assert_eq!(store.stats().persist_errors, 1);
         assert!(store.persist_error().is_some());
-        // Later inserts silently stay in memory (degraded, not dead).
+        // Later inserts and syncs silently stay in memory (degraded, not
+        // dead).
         let mut second = result.clone();
         second.fingerprint ^= 1;
         store.insert(second.clone()).unwrap();
+        store.sync().unwrap();
         assert_eq!(store.stats().entries, 2);
         assert_eq!(store.stats().persist_errors, 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Sums per-segment compaction stats into `(kept, dropped)`.
+    fn compaction_totals(stats: &[CompactionStats]) -> (usize, usize) {
+        stats.iter().fold((0, 0), |(kept, dropped), s| {
+            (kept + s.kept, dropped + s.dropped)
+        })
     }
 
     #[test]
@@ -2143,9 +1976,10 @@ mod tests {
         let dir = temp_store_dir("compact");
         let path = dir.join("results.jsonl");
 
-        // First-wins shadowing: a record re-appended under the same
-        // fingerprint with *different* payload (e.g. two concatenated
-        // store generations) must compact to the first occurrence.
+        // A single-file store from an older release.  First-wins
+        // shadowing: a record re-appended under the same fingerprint
+        // with *different* payload (e.g. two concatenated store
+        // generations) must lose to the first occurrence.
         let mut shadowed = result.clone();
         shadowed.checksum ^= 0xbad;
         let mut second = result.clone();
@@ -2162,34 +1996,85 @@ mod tests {
         contents.push_str(&result.to_line()[..25]);
         std::fs::write(&path, &contents).unwrap();
 
-        let stats = compact_store(&path).unwrap();
-        assert_eq!(
-            stats,
-            CompactionStats {
-                kept: 2,
-                dropped: 4
-            }
-        );
-
-        // The compacted file parses with the strict reader and loads to
-        // the same first-wins index the original did.
-        let records = read_records(&path).unwrap();
-        assert_eq!(records, vec![result.clone(), second.clone()]);
+        // Opening the file migrates it into a directory that serves the
+        // first-wins records; the torn tail is dropped on the way.
         let store = ResultStore::open(&path).unwrap();
+        assert!(path.is_dir(), "migration replaces the file in place");
         assert_eq!(store.stats().entries, 2);
         assert_eq!(store.lookup(result.fingerprint).unwrap(), result);
+        assert_eq!(store.lookup(second.fingerprint).unwrap(), second);
+        drop(store);
+
+        // The segments still carry the three shadowed appends until
+        // compaction drops them.
+        assert_eq!(
+            compaction_totals(&compact_sharded_store(&path).unwrap()),
+            (2, 3)
+        );
+        let records = read_store_records(&path).unwrap();
+        assert_eq!(records.len(), 2);
+        assert!(records.contains(&result) && records.contains(&second));
 
         // Compacting a compacted store is a no-op.
-        drop(store);
-        let stats = compact_store(&path).unwrap();
         assert_eq!(
-            stats,
-            CompactionStats {
-                kept: 2,
-                dropped: 0
-            }
+            compaction_totals(&compact_sharded_store(&path).unwrap()),
+            (2, 0)
         );
-        assert_eq!(read_records(&path).unwrap().len(), 2);
+
+        // Compacting the file directly migrates it first, to the same end.
+        let direct = dir.join("direct.jsonl");
+        std::fs::write(&direct, &contents).unwrap();
+        assert_eq!(
+            compaction_totals(&compact_sharded_store(&direct).unwrap()),
+            (2, 3)
+        );
+        assert_eq!(read_store_records(&direct).unwrap().len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn interrupted_migration_is_rolled_back_and_redone() {
+        let template = sample_result();
+        let records: Vec<CellResult> = (0..16u64)
+            .map(|i| {
+                let mut record = template.clone();
+                record.fingerprint = 0x7000 + i;
+                record
+            })
+            .collect();
+        let lines = |keep: &dyn Fn(&CellResult) -> bool| -> String {
+            records
+                .iter()
+                .filter(|r| keep(r))
+                .map(|r| format!("{}\n", r.to_line()))
+                .collect()
+        };
+        let dir = temp_store_dir("interrupted-migration");
+        let path = dir.join("results.jsonl");
+        let backup = dir.join("results.jsonl.migrating");
+
+        // A kill mid-migration, after the file was renamed aside: either
+        // before the manifest (nothing at `path`) or after the manifest
+        // and one segment (a directory that would scan as a partial
+        // store).
+        for half_built in [false, true] {
+            std::fs::remove_dir_all(&path).ok();
+            std::fs::write(&backup, lines(&|_| true)).unwrap();
+            if half_built {
+                std::fs::create_dir_all(&path).unwrap();
+                write_store_meta(&path, DEFAULT_STORE_SHARDS).unwrap();
+                std::fs::write(
+                    segment_path(&path, 0),
+                    lines(&|r| shard_for(r.fingerprint, DEFAULT_STORE_SHARDS) == 0),
+                )
+                .unwrap();
+            }
+            let store = ResultStore::open(&path).unwrap();
+            for record in &records {
+                assert_eq!(store.lookup(record.fingerprint).as_ref(), Some(record));
+            }
+            assert!(!backup.exists(), "the backup goes once the store is whole");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

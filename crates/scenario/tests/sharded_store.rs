@@ -1,8 +1,8 @@
 //! Gates for the sharded result store: concurrency under 8 pool
 //! workers, sidecar-vs-scan open equivalence, per-segment torn-tail
-//! isolation, deterministic shard routing, cross-layout campaign
-//! byte-identity (legacy file, migrated store, fresh sharded store) and
-//! the cross-shard compaction round trip.
+//! isolation, deterministic shard routing, campaign byte-identity
+//! across fresh, reopened and migrated stores, and the cross-shard
+//! compaction round trip.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,6 +147,7 @@ fn eight_pool_workers_hammer_one_sharded_store() {
         with_sidecar.opened_from_sidecar(),
         "a cleanly closed sharded store must reopen via the sidecar index"
     );
+    assert!(with_sidecar.recovered_tails().is_empty());
     assert_eq!(with_sidecar.stats().entries, DISTINCT as usize);
     for (i, fingerprint) in (BASE..BASE + DISTINCT).enumerate() {
         assert_eq!(with_sidecar.lookup(fingerprint).unwrap(), in_memory[i]);
@@ -155,6 +156,10 @@ fn eight_pool_workers_hammer_one_sharded_store() {
     std::fs::remove_file(store_dir.join(SIDECAR_FILE)).unwrap();
     let scanned = ResultStore::open(&store_dir).unwrap();
     assert!(!scanned.opened_from_sidecar());
+    assert!(
+        scanned.recovered_tails().is_empty(),
+        "hammered segments must have no torn tail to recover"
+    );
     assert_eq!(scanned.stats().entries, DISTINCT as usize);
     for (i, fingerprint) in (BASE..BASE + DISTINCT).enumerate() {
         assert_eq!(scanned.lookup(fingerprint).unwrap(), in_memory[i]);
@@ -207,22 +212,27 @@ fn campaigns_are_byte_identical_across_store_layouts() {
     let dir = temp_dir("campaign");
     let scenario = small_scenario();
 
-    // Cold run filling a legacy single-file store, and a warm legacy
-    // re-run as the byte-identity reference.
-    let legacy_path = dir.join("store.jsonl");
-    let cold = CampaignRunner::with_store(ResultStore::open(&legacy_path).unwrap()).run(&scenario);
-    let warm_legacy =
-        CampaignRunner::with_store(ResultStore::open(&legacy_path).unwrap()).run(&scenario);
-    assert_eq!(warm_legacy.cache_hits(), cold.outcomes.len());
-    assert_eq!(cold.to_lines(), warm_legacy.to_lines());
-    assert_eq!(cold.digest(), warm_legacy.digest());
+    // A cold run filling a fresh store, and a sidecar-served warm
+    // reopen that reads the same bytes back identically.
+    let sharded_dir = dir.join("sharded-store");
+    let cold = CampaignRunner::with_store(ResultStore::open(&sharded_dir).unwrap()).run(&scenario);
+    assert_eq!(cold.cache_hits(), 0);
+    let reopened = ResultStore::open(&sharded_dir).unwrap();
+    assert!(reopened.opened_from_sidecar());
+    let warm_sharded = CampaignRunner::with_store(reopened).run(&scenario);
+    assert_eq!(warm_sharded.cache_hits(), cold.outcomes.len());
+    assert_eq!(cold.to_lines(), warm_sharded.to_lines());
+    assert_eq!(cold.digest(), warm_sharded.digest());
 
-    // Migrate the monolithic-filled legacy store to shards in place; a
-    // *streamed* campaign served from the migrated store must still be
-    // byte-identical (the store was filled monolithically).
-    let migrated = ResultStore::open_sharded(&legacy_path, 4).unwrap();
+    // A single-file store as older releases wrote it, holding the
+    // monolithically computed cells: opening it migrates it in place,
+    // and a *streamed* campaign served from the migrated store must
+    // still be byte-identical.
+    let legacy_path = dir.join("store.jsonl");
+    std::fs::write(&legacy_path, cold.to_lines()).unwrap();
+    let migrated = ResultStore::open(&legacy_path).unwrap();
     assert!(legacy_path.is_dir(), "migration replaces the file in place");
-    assert_eq!(migrated.shard_count(), 4);
+    assert_eq!(migrated.shard_count(), DEFAULT_STORE_SHARDS);
     let streamed_scenario = {
         let mut s = small_scenario();
         s.chunk_elements = Some(4096);
@@ -232,21 +242,6 @@ fn campaigns_are_byte_identical_across_store_layouts() {
     assert_eq!(warm_migrated.cache_hits(), cold.outcomes.len());
     assert_eq!(cold.to_lines(), warm_migrated.to_lines());
     assert_eq!(cold.digest(), warm_migrated.digest());
-
-    // A fresh sharded store: the cold run writes the same bytes, and a
-    // sidecar-served warm reopen reads them back identically.
-    let sharded_dir = dir.join("sharded-store");
-    let cold_sharded = CampaignRunner::with_store(
-        ResultStore::open_sharded(&sharded_dir, DEFAULT_STORE_SHARDS).unwrap(),
-    )
-    .run(&scenario);
-    assert_eq!(cold.to_lines(), cold_sharded.to_lines());
-    let reopened = ResultStore::open(&sharded_dir).unwrap();
-    assert!(reopened.opened_from_sidecar());
-    let warm_sharded = CampaignRunner::with_store(reopened).run(&scenario);
-    assert_eq!(warm_sharded.cache_hits(), cold.outcomes.len());
-    assert_eq!(cold.to_lines(), warm_sharded.to_lines());
-    assert_eq!(cold.digest(), warm_sharded.digest());
     std::fs::remove_dir_all(&dir).ok();
 }
 

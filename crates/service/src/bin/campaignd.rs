@@ -1,13 +1,14 @@
 //! `campaignd` — the campaign service daemon.
 //!
 //! ```text
-//! campaignd [--addr HOST:PORT] [--store FILE.jsonl] [--workers N] [--queue-depth N]
+//! campaignd [--addr HOST:PORT] [--store DIR] [--workers N] [--queue-depth N]
 //!           [--chunk-elements N] [--store-shards N]
 //! ```
 //!
-//! `--store-shards N` opens the store in the sharded layout with N
-//! segments (a legacy single-file store is migrated in place; an
-//! existing sharded store directory keeps its own segment count).
+//! `--store DIR` persists results in a store directory, created if
+//! missing (a single-file store from an older release is migrated in
+//! place).  `--store-shards N` sets the segment count of a new store
+//! (default 8); an existing store keeps its own.
 //!
 //! Binds the address (default `127.0.0.1:7070`; port `0` picks an
 //! ephemeral port), prints the bound address on stdout as
@@ -19,7 +20,7 @@ use dmpb_service::{serve, ServiceConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: campaignd [--addr HOST:PORT] [--store FILE.jsonl] [--workers N] [--queue-depth N] [--chunk-elements N] [--store-shards N]"
+        "usage: campaignd [--addr HOST:PORT] [--store DIR] [--workers N] [--queue-depth N] [--chunk-elements N] [--store-shards N]"
     );
     std::process::exit(2);
 }

@@ -22,7 +22,9 @@ use dmpb_core::fnv::hash_bytes;
 use dmpb_metrics::histogram::LatencyHistogram;
 use dmpb_metrics::json::ObjectWriter;
 use dmpb_population::TopologyFamily;
-use dmpb_scenario::{CampaignReport, CampaignRunner, ResultStore, Scenario, StoreStats};
+use dmpb_scenario::{
+    CampaignReport, CampaignRunner, ResultStore, Scenario, StoreStats, DEFAULT_STORE_SHARDS,
+};
 
 use crate::http::{read_request, write_response, HttpError, Request, Response};
 use crate::prometheus::render_metrics;
@@ -41,13 +43,13 @@ pub struct ServiceConfig {
     /// `None` executes monolithically.  A scenario's own
     /// `[executor] chunk_elements` takes precedence per campaign.
     pub chunk_elements: Option<usize>,
-    /// Backing file for the shared result store; `None` keeps results in
-    /// memory for the daemon's lifetime.
+    /// Directory of the shared result store, created if missing (a
+    /// single-file store from an older release is migrated in place);
+    /// `None` keeps results in memory for the daemon's lifetime.
     pub store_path: Option<PathBuf>,
-    /// Open the store in the sharded layout with this many segments
-    /// (a legacy single-file store at `store_path` is migrated in
-    /// place; an existing sharded store keeps its own segment count).
-    /// `None` keeps whatever layout `store_path` already has.
+    /// Segment count of a new store at `store_path`; `None` means
+    /// [`DEFAULT_STORE_SHARDS`].  An existing store keeps its own
+    /// segment count.
     pub store_shards: Option<usize>,
 }
 
@@ -235,25 +237,17 @@ impl Drop for ServiceHandle {
 
 /// Binds the service and spawns its accept and dispatcher threads.
 pub fn serve(config: ServiceConfig) -> Result<ServiceHandle, String> {
-    // One pool serves the daemon's lifetime: it scans the sharded
-    // store's segments at boot and batches campaign cells thereafter.
+    // One pool serves the daemon's lifetime: it scans the store's
+    // segments at boot and batches campaign cells thereafter.
     let pool = Arc::new(dmpb_motifs::workers::WorkerPool::new(
         config.workers.max(1).saturating_sub(1),
     ));
     let store = match &config.store_path {
-        Some(path) => {
-            if config.store_shards.is_some() || path.is_dir() {
-                ResultStore::open_sharded_with_pool(
-                    path,
-                    config
-                        .store_shards
-                        .unwrap_or(dmpb_scenario::DEFAULT_STORE_SHARDS),
-                    Some(&pool),
-                )?
-            } else {
-                ResultStore::open(path)?
-            }
-        }
+        Some(path) => ResultStore::open_sharded_with_pool(
+            path,
+            config.store_shards.unwrap_or(DEFAULT_STORE_SHARDS),
+            Some(&pool),
+        )?,
         None => ResultStore::in_memory(),
     };
     dmpb_motifs::KernelProfiler::global().set_enabled(true);
