@@ -101,6 +101,18 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// Parses the value of a flag that takes a positive integer; zero and
+/// non-numbers are usage errors.
+fn positive(flag: &str, value: String) -> Result<usize, ExitCode> {
+    match value.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => {
+            eprintln!("campaign: {flag} needs a positive integer");
+            Err(usage())
+        }
+    }
+}
+
 fn parse_args() -> Result<Options, ExitCode> {
     let mut args = std::env::args().skip(1);
     let mut options = Options {
@@ -131,33 +143,16 @@ fn parse_args() -> Result<Options, ExitCode> {
             "--store" => options.store = Some(value_for("--store")?),
             "--baseline" => options.baseline = Some(value_for("--baseline")?),
             "--write-baseline" => options.write_baseline = Some(value_for("--write-baseline")?),
-            "--workers" => {
-                options.workers = Some(value_for("--workers")?.parse().map_err(|_| {
-                    eprintln!("campaign: --workers needs a positive integer");
-                    usage()
-                })?)
-            }
+            "--workers" => options.workers = Some(positive("--workers", value_for("--workers")?)?),
             "--chunk-elements" => {
-                let n: usize = value_for("--chunk-elements")?.parse().map_err(|_| {
-                    eprintln!("campaign: --chunk-elements needs a positive integer");
-                    usage()
-                })?;
-                if n == 0 {
-                    eprintln!("campaign: --chunk-elements needs a positive integer");
-                    return Err(usage());
-                }
-                options.chunk_elements = Some(n);
+                options.chunk_elements = Some(positive(
+                    "--chunk-elements",
+                    value_for("--chunk-elements")?,
+                )?)
             }
             "--store-shards" => {
-                let n: usize = value_for("--store-shards")?.parse().map_err(|_| {
-                    eprintln!("campaign: --store-shards needs a positive integer");
-                    usage()
-                })?;
-                if n == 0 {
-                    eprintln!("campaign: --store-shards needs a positive integer");
-                    return Err(usage());
-                }
-                options.store_shards = Some(n);
+                options.store_shards =
+                    Some(positive("--store-shards", value_for("--store-shards")?)?)
             }
             "--compact-store" => options.compact_store = Some(value_for("--compact-store")?),
             "--expect-hit-ratio" => {

@@ -83,6 +83,29 @@ clusters = ["five-node-westmere"]
     std::fs::remove_file(&path).ok();
 }
 
+#[test]
+fn zero_is_rejected_for_every_positive_integer_flag() {
+    let path = scenario_file("zero-flags", FULLY_FILTERED);
+    for flag in ["--workers", "--chunk-elements", "--store-shards"] {
+        let output = campaign()
+            .arg(&path)
+            .args([flag, "0"])
+            .output()
+            .expect("campaign binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "`{flag} 0` must be a usage error\nstderr: {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("{flag} needs a positive integer")),
+            "the error must name the flag\nstderr: {stderr}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// Two cells, small enough for a debug-build CLI run.
 const TWO_CELLS: &str = r#"
 [scenario]

@@ -107,7 +107,6 @@ impl DagExecution {
 #[derive(Debug)]
 pub struct DagExecutor {
     max_parallel: usize,
-    ceiling: usize,
     chunk_elements: Option<usize>,
     pool: BufferPool,
     workers: OnceLock<Arc<WorkerPool>>,
@@ -128,7 +127,6 @@ impl DagExecutor {
     pub fn new() -> Self {
         Self {
             max_parallel: 1,
-            ceiling: default_parallel_ceiling(),
             chunk_elements: None,
             pool: BufferPool::new(),
             workers: OnceLock::new(),
@@ -136,26 +134,17 @@ impl DagExecutor {
     }
 
     /// Bounds the number of DAG branches executed concurrently (clamped to
-    /// `1..=`[`Self::parallel_ceiling`]).  `1` executes the DAG serially
+    /// `1..=`[`default_parallel_ceiling`]).  `1` executes the DAG serially
     /// on the calling thread.  The buffer pool is re-sharded to one shard
     /// per worker plus one for external threads; a worker pool installed
     /// via [`Self::with_worker_pool`] is preserved.
     pub fn with_max_parallel(mut self, workers: usize) -> Self {
-        self.max_parallel = workers.clamp(1, self.ceiling);
+        self.max_parallel = workers.clamp(1, default_parallel_ceiling());
         let shards = match self.workers.get() {
             Some(pool) => pool.workers() + 1,
             None => self.max_parallel + 1,
         };
         self.pool = BufferPool::with_shards(shards);
-        self
-    }
-
-    /// Overrides the clamp ceiling applied by [`Self::with_max_parallel`]
-    /// (by default derived from the hardware via
-    /// [`default_parallel_ceiling`]), re-clamping the current setting.
-    pub fn with_parallel_ceiling(mut self, ceiling: usize) -> Self {
-        self.ceiling = ceiling.max(1);
-        self.max_parallel = self.max_parallel.min(self.ceiling);
         self
     }
 
@@ -200,11 +189,6 @@ impl DagExecutor {
     /// The configured concurrency bound.
     pub fn max_parallel(&self) -> usize {
         self.max_parallel
-    }
-
-    /// The ceiling [`Self::with_max_parallel`] clamps against.
-    pub fn parallel_ceiling(&self) -> usize {
-        self.ceiling
     }
 
     /// The shared intermediate-buffer pool kernels lease scratch storage
@@ -583,7 +567,6 @@ mod tests {
         let shared = Arc::new(WorkerPool::new(2));
         let executor = DagExecutor::new()
             .with_worker_pool(Arc::clone(&shared))
-            .with_parallel_ceiling(16)
             .with_max_parallel(8);
         // Later builder calls must not drop the installed pool, and the
         // buffer pool stays sharded for the installed pool's workers.
@@ -600,35 +583,10 @@ mod tests {
                 .max_parallel(),
             default_parallel_ceiling()
         );
-        assert_eq!(
-            DagExecutor::new().parallel_ceiling(),
-            default_parallel_ceiling()
-        );
         assert!(default_parallel_ceiling() >= hardware_parallelism());
         assert!(
             default_parallel_ceiling() >= 8,
             "the 8-worker determinism gates must stay meaningful"
-        );
-    }
-
-    #[test]
-    fn explicit_ceiling_overrides_the_derived_default() {
-        let executor = DagExecutor::new()
-            .with_parallel_ceiling(3)
-            .with_max_parallel(100);
-        assert_eq!(executor.max_parallel(), 3);
-        // Applying the ceiling after the request re-clamps it.
-        let reclamped = DagExecutor::new()
-            .with_max_parallel(8)
-            .with_parallel_ceiling(2);
-        assert_eq!(reclamped.max_parallel(), 2);
-        assert_eq!(reclamped.parallel_ceiling(), 2);
-        // A zero ceiling is lifted to the serial minimum.
-        assert_eq!(
-            DagExecutor::new()
-                .with_parallel_ceiling(0)
-                .parallel_ceiling(),
-            1
         );
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! The cell size scales with the build profile — debug kernels are an
 //! order of magnitude slower, so tier-1 (`cargo test`) streams 10^6
-//! elements while the release CI `scaling-smoke` job streams 10^7 — but
+//! elements while the release CI `accuracy-gate` job streams 10^7 — but
 //! the assertion is the same: a streaming execution's peak RSS is set by
 //! the chunk budget (fan-out × per-granule scratch), not by the cell's
 //! element count, so a bounded ceiling holds at any scale.

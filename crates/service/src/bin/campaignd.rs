@@ -25,6 +25,18 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Parses the value of a flag that takes a positive integer; zero and
+/// non-numbers are usage errors.
+fn positive(flag: &str, value: String) -> usize {
+    match value.parse() {
+        Ok(n) if n > 0 => n,
+        _ => {
+            eprintln!("campaignd: {flag} needs a positive integer");
+            usage()
+        }
+    }
+}
+
 fn main() {
     let mut config = ServiceConfig {
         addr: "127.0.0.1:7070".to_string(),
@@ -41,12 +53,7 @@ fn main() {
         match arg.as_str() {
             "--addr" => config.addr = value("--addr"),
             "--store" => config.store_path = Some(PathBuf::from(value("--store"))),
-            "--workers" => {
-                config.workers = value("--workers").parse().unwrap_or_else(|e| {
-                    eprintln!("campaignd: bad --workers: {e}");
-                    usage()
-                })
-            }
+            "--workers" => config.workers = positive("--workers", value("--workers")),
             "--queue-depth" => {
                 config.queue_depth = value("--queue-depth").parse().unwrap_or_else(|e| {
                     eprintln!("campaignd: bad --queue-depth: {e}");
@@ -54,26 +61,11 @@ fn main() {
                 })
             }
             "--chunk-elements" => {
-                let n: usize = value("--chunk-elements").parse().unwrap_or_else(|e| {
-                    eprintln!("campaignd: bad --chunk-elements: {e}");
-                    usage()
-                });
-                if n == 0 {
-                    eprintln!("campaignd: --chunk-elements must be positive");
-                    usage()
-                }
-                config.chunk_elements = Some(n);
+                config.chunk_elements =
+                    Some(positive("--chunk-elements", value("--chunk-elements")))
             }
             "--store-shards" => {
-                let n: usize = value("--store-shards").parse().unwrap_or_else(|e| {
-                    eprintln!("campaignd: bad --store-shards: {e}");
-                    usage()
-                });
-                if n == 0 {
-                    eprintln!("campaignd: --store-shards must be positive");
-                    usage()
-                }
-                config.store_shards = Some(n);
+                config.store_shards = Some(positive("--store-shards", value("--store-shards")))
             }
             "--help" | "-h" => usage(),
             other => {
