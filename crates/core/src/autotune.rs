@@ -92,8 +92,8 @@ impl AutoTuner {
         let impact = analyze(&initial, arch, metrics);
         let tree = DecisionTree::train(&impact.training_samples(), 6);
 
-        let mut best = initial.clone();
-        let mut best_metrics = best.measure(arch);
+        let mut best = initial;
+        let mut best_metrics = impact.baseline;
         let mut best_accuracy = AccuracyReport::compare(target, &best_metrics, metrics);
         let mut history = vec![best_accuracy.average()];
         let mut iterations = 0;

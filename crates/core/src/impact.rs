@@ -6,7 +6,7 @@
 //! metric) and the training set for the decision tree of the adjusting
 //! stage.
 
-use dmpb_metrics::MetricId;
+use dmpb_metrics::{MetricId, MetricVector};
 use dmpb_perfmodel::arch::ArchProfile;
 
 use crate::dtree::Sample;
@@ -29,6 +29,8 @@ pub struct ImpactEntry {
 /// The full impact table of one proxy benchmark.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImpactAnalysis {
+    /// The unadjusted proxy's metric vector, the base of every delta.
+    pub baseline: MetricVector,
     /// Metrics the impacts refer to.
     pub metrics: Vec<MetricId>,
     /// One entry per candidate action.
@@ -66,6 +68,7 @@ pub fn analyze(proxy: &ProxyBenchmark, arch: &ArchProfile, metrics: &[MetricId])
         }
     }
     ImpactAnalysis {
+        baseline,
         metrics: metrics.to_vec(),
         entries,
     }

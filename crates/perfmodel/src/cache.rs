@@ -87,25 +87,54 @@ impl CacheStats {
     }
 }
 
+/// Marks an empty way.  Real tags are checked to stay below it, so an
+/// empty way never matches a lookup.
+const EMPTY: u32 = u32::MAX;
+
 /// A single set-associative cache level with LRU replacement.
+///
+/// Tags are stored as `u32` in one flat array, `associativity` ways per
+/// set, and each set is kept in recency order: way 0 is the most recently
+/// used line, the last valid way the least recently used one, and empty
+/// ways (tag `u32::MAX`) sit behind every valid way.  A hit moves its
+/// line to way 0, a miss shifts the set one way back (dropping the LRU
+/// line, or an empty way while the set is filling) and installs the new
+/// tag at way 0.  That evicts exactly the line a per-way last-use
+/// timestamp would pick.
+///
+/// The `u32` tag keeps a 16-way set at 64 bytes, one host cache line's
+/// worth.  Its price is an address bound: the tag is the address divided by
+/// `line_bytes * num_sets`, which must stay below `u32::MAX` (for a
+/// 64-set, 64-byte-line L1 that is addresses under 2^44).  An address
+/// beyond it panics instead of aliasing another line.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// One vector of (tag, last-use tick) per set; `u64::MAX` tag = invalid.
-    sets: Vec<Vec<(u64, u64)>>,
-    tick: u64,
+    ways: usize,
+    num_sets: u64,
+    line_shift: u32,
+    /// `log2(num_sets)` when the set count is a power of two, so indexing
+    /// is a shift and a mask; otherwise `/` and `%` by `num_sets`.
+    set_shift: Option<u32>,
+    tags: Vec<u32>,
     stats: CacheStats,
 }
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
-        let sets =
-            vec![Vec::with_capacity(config.associativity as usize); config.num_sets() as usize];
+        let num_sets = config.num_sets();
+        let ways = config.associativity as usize;
+        let lines = usize::try_from(num_sets).expect("set count fits in usize") * ways;
         Self {
             config,
-            sets,
-            tick: 0,
+            ways,
+            num_sets,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: num_sets
+                .is_power_of_two()
+                .then(|| num_sets.trailing_zeros()),
+            tags: vec![EMPTY; lines],
             stats: CacheStats::default(),
         }
     }
@@ -126,44 +155,111 @@ impl Cache {
     }
 
     /// Accesses `address`, updating LRU state and statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address's tag does not fit below `u32::MAX` (see the
+    /// type documentation).
     pub fn access(&mut self, address: u64) -> AccessOutcome {
-        self.tick += 1;
-        let line = address / self.config.line_bytes;
-        let set_index = (line % self.config.num_sets()) as usize;
-        let tag = line / self.config.num_sets();
-        let set = &mut self.sets[set_index];
+        let line = address >> self.line_shift;
+        let (set_index, tag) = match self.set_shift {
+            Some(shift) => (line & (self.num_sets - 1), line >> shift),
+            None => (line % self.num_sets, line / self.num_sets),
+        };
+        assert!(
+            tag < u64::from(EMPTY),
+            "address {address:#x} is beyond the cache's u32 tag range"
+        );
+        let tag = tag as u32;
+        let start = set_index as usize * self.ways;
+        let set = &mut self.tags[start..start + self.ways];
 
-        if let Some(entry) = set.iter_mut().find(|(t, _)| *t == tag) {
-            entry.1 = self.tick;
+        if let Some(way) = set.iter().position(|&t| t == tag) {
+            set[..=way].rotate_right(1);
             self.stats.hits += 1;
             return AccessOutcome::Hit;
         }
 
         self.stats.misses += 1;
-        if set.len() < self.config.associativity as usize {
-            set.push((tag, self.tick));
-        } else {
-            // Evict the least recently used way.
-            let lru = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(i, _)| i)
-                .expect("set is full, so non-empty");
-            set[lru] = (tag, self.tick);
-        }
+        set.copy_within(..self.ways - 1, 1);
+        set[0] = tag;
         AccessOutcome::Miss
     }
 
     /// Number of resident lines (for tests and invariant checks).
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
+    }
+}
+
+/// The reference LRU cache: one `Vec<(tag, last-use tick)>` per set,
+/// evicting the way with the smallest tick.  The recency-ordered sets of
+/// [`Cache`] are tested against it access by access.
+#[cfg(test)]
+mod reference {
+    use super::{AccessOutcome, CacheConfig, CacheStats};
+
+    pub struct ReferenceCache {
+        config: CacheConfig,
+        sets: Vec<Vec<(u64, u64)>>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl ReferenceCache {
+        pub fn new(config: CacheConfig) -> Self {
+            let sets =
+                vec![Vec::with_capacity(config.associativity as usize); config.num_sets() as usize];
+            Self {
+                config,
+                sets,
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        pub fn stats(&self) -> CacheStats {
+            self.stats
+        }
+
+        pub fn access(&mut self, address: u64) -> AccessOutcome {
+            self.tick += 1;
+            let line = address / self.config.line_bytes;
+            let set_index = (line % self.config.num_sets()) as usize;
+            let tag = line / self.config.num_sets();
+            let set = &mut self.sets[set_index];
+
+            if let Some(entry) = set.iter_mut().find(|(t, _)| *t == tag) {
+                entry.1 = self.tick;
+                self.stats.hits += 1;
+                return AccessOutcome::Hit;
+            }
+
+            self.stats.misses += 1;
+            if set.len() < self.config.associativity as usize {
+                set.push((tag, self.tick));
+            } else {
+                let lru = set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, (_, t))| *t)
+                    .map(|(i, _)| i)
+                    .expect("set is full, so non-empty");
+                set[lru] = (tag, self.tick);
+            }
+            AccessOutcome::Miss
+        }
+
+        pub fn resident_lines(&self) -> usize {
+            self.sets.iter().map(Vec::len).sum()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small_cache() -> Cache {
         // 4 sets * 2 ways * 64-byte lines = 512 bytes
@@ -274,5 +370,93 @@ mod tests {
             AccessOutcome::Hit,
             "line survived the stats reset"
         );
+    }
+
+    /// Draws one address stream: `pattern` 0 is sequential, 1 strided, 2
+    /// random and 3 a random mix of the three, over a span of `span`
+    /// bytes from `base`.
+    fn address_stream(pattern: u32, base: u64, span: u64, len: usize, seed: u64) -> Vec<u64> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let stride = rng.gen_range(1..(span / 4).max(2));
+        let mut cursor = 0u64;
+        (0..len)
+            .map(|_| {
+                let kind = if pattern == 3 {
+                    rng.gen_range(0..3)
+                } else {
+                    pattern
+                };
+                let offset = match kind {
+                    0 => {
+                        cursor = (cursor + 8) % span;
+                        cursor
+                    }
+                    1 => {
+                        cursor = (cursor + stride) % span;
+                        cursor
+                    }
+                    _ => rng.gen_range(0..span),
+                };
+                base + offset
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The recency-ordered cache makes the reference's choice on every
+        /// access, for power-of-two and other set counts, 1 to 16 ways and
+        /// 32- to 128-byte lines, over sequential, strided, random and
+        /// mixed streams whose span ranges from a fraction of the cache to
+        /// several times its size.
+        #[test]
+        fn recency_sets_match_the_tick_reference(
+            sets in 1u64..200,
+            power_of_two_sets in 0u32..2,
+            ways in 1u32..17,
+            line_log in 5u32..8,
+            pattern in 0u32..4,
+            span_eighths in 1u64..40,
+            high_base in 0u32..2,
+            len in 1usize..3000,
+            seed in 0u64..u64::MAX,
+        ) {
+            let sets = if power_of_two_sets == 1 { sets.next_power_of_two() } else { sets };
+            let line = 1u64 << line_log;
+            let config = CacheConfig::new(sets * u64::from(ways) * line, line, ways);
+            let span = (config.size_bytes * span_eighths / 8).max(1);
+            // Either low addresses or ones whose tags sit near the top of
+            // the u32 range.
+            let base = if high_base == 1 {
+                (u64::from(u32::MAX) - 1 - 4 * (span / (line * sets) + 1)) * line * sets
+            } else {
+                0
+            };
+            let mut cache = Cache::new(config);
+            let mut oracle = reference::ReferenceCache::new(config);
+            let stream = address_stream(pattern, base, span, len, seed);
+            for (i, address) in stream.into_iter().enumerate() {
+                prop_assert_eq!(
+                    cache.access(address),
+                    oracle.access(address),
+                    "access {} at {:#x}", i, address
+                );
+                prop_assert_eq!(cache.stats(), oracle.stats());
+                prop_assert_eq!(cache.resident_lines(), oracle.resident_lines());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 tag range")]
+    fn tag_beyond_u32_panics_instead_of_aliasing() {
+        // 64 sets of 64-byte lines: the tag is address >> 12 and must stay
+        // below u32::MAX, the empty-way sentinel.
+        let mut c = Cache::new(CacheConfig::new(32 * 1024, 64, 8));
+        c.access((1 << 44) - 2 * 4096);
+        c.access((1 << 44) - 4096);
     }
 }

@@ -137,8 +137,12 @@ pub struct CellResult {
 
 impl CellResult {
     /// Computes a cell's result from its [`ProxyRun`] (tuning + sample
-    /// execution on the tuning cluster) plus the pure performance-model
-    /// measurements on the cell's own cluster.
+    /// execution on the cell's [`CampaignCell::tuning_cluster`]) plus the
+    /// pure performance-model measurements on the cell's own cluster.
+    /// The run already holds those measurements when the two clusters
+    /// agree: the workload's when they are equal, the proxy's when their
+    /// node architectures are (a proxy runs on one node).  Only the
+    /// others are measured again.
     pub fn compute(cell: &CampaignCell, run: &ProxyRun, version: u32) -> CellResult {
         Self::compute_for(cell, run, version, workload_by_kind(cell.kind).as_ref())
     }
@@ -154,6 +158,17 @@ impl CellResult {
         workload: &dyn Workload,
     ) -> CellResult {
         let cluster = cell.cluster();
+        let tuning_cluster = cell.tuning_cluster();
+        let cell_real_runtime_secs = if cluster == tuning_cluster {
+            run.report.real_metrics.runtime_secs
+        } else {
+            workload.measure(&cluster).runtime_secs
+        };
+        let cell_proxy_runtime_secs = if cluster.node.arch == tuning_cluster.node.arch {
+            run.report.proxy_metrics.runtime_secs
+        } else {
+            run.report.proxy.measure(&cluster.node.arch).runtime_secs
+        };
         let (worst_metric, worst_accuracy) = run
             .report
             .accuracy
@@ -182,8 +197,8 @@ impl CellResult {
             speedup: run.report.speedup,
             real_runtime_secs: run.report.real_metrics.runtime_secs,
             proxy_runtime_secs: run.report.proxy_metrics.runtime_secs,
-            cell_real_runtime_secs: workload.measure(&cluster).runtime_secs,
-            cell_proxy_runtime_secs: run.report.proxy.measure(&cluster.node.arch).runtime_secs,
+            cell_real_runtime_secs,
+            cell_proxy_runtime_secs,
             kernels_run: run.execution.kernels_run,
             checksum: run.execution.checksum,
             accuracies: run
@@ -1701,6 +1716,40 @@ mod tests {
         let runner = SuiteRunner::new(ClusterConfig::five_node_westmere());
         let run = runner.run_cell(cell.kind, cell.elements, cell.seed);
         CellResult::compute(&cell, &run, 1)
+    }
+
+    #[test]
+    fn cell_runtimes_equal_fresh_measurements_bit_for_bit() {
+        let same_cluster = Scenario::with_defaults("same-cluster").expand()[0].clone();
+        let mut cross = Scenario::with_defaults("cross-architecture");
+        cross.workloads = vec![same_cluster.kind];
+        cross.clusters = vec!["three-node-westmere-64gb".to_string()];
+        cross.architectures = vec!["westmere".to_string(), "haswell".to_string()];
+        cross.tuning_cluster = Some(ClusterConfig::NAMES[0].to_string());
+        let mut cells = vec![same_cluster];
+        cells.extend(cross.expand());
+        assert_eq!(cells.len(), 3);
+
+        let runner = SuiteRunner::new(ClusterConfig::five_node_westmere());
+        for cell in &cells {
+            assert_eq!(cell.tuning_cluster(), runner.generator().cluster);
+            let run = runner.run_cell(cell.kind, cell.elements, cell.seed);
+            let result = CellResult::compute(cell, &run, 1);
+            let cluster = cell.cluster();
+            let real = workload_by_kind(cell.kind).measure(&cluster).runtime_secs;
+            let proxy = run.report.proxy.measure(&cluster.node.arch).runtime_secs;
+            let name = format!("{} on {}", cell.cluster_name, cell.architecture);
+            assert_eq!(
+                result.cell_real_runtime_secs.to_bits(),
+                real.to_bits(),
+                "{name}"
+            );
+            assert_eq!(
+                result.cell_proxy_runtime_secs.to_bits(),
+                proxy.to_bits(),
+                "{name}"
+            );
+        }
     }
 
     #[test]
