@@ -1,8 +1,8 @@
 //! # dmpb-bench — experiment harness
 //!
-//! One binary per table / figure of the paper's evaluation (see DESIGN.md
-//! for the index), plus Criterion benches over the real motif kernels and
-//! the generated proxies.  This library holds the shared plumbing: the
+//! One binary per table / figure of the paper's evaluation, each named
+//! after what it renders (`table6_execution_time`, `fig4_accuracy`, …),
+//! plus the `campaign` driver.  This library holds the shared plumbing: the
 //! scenario-campaign path the paper-table binaries render from, table
 //! rendering, and the paper's reference numbers so every binary prints
 //! "paper vs. measured" side by side.

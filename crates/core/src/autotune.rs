@@ -3,8 +3,7 @@
 //! The tuner measures the candidate proxy, compares it against the original
 //! workload's metric vector (Equation 3), and while any tracked metric
 //! deviates by more than the threshold it adjusts one parameter chosen by
-//! the decision tree trained on the impact analysis.  A greedy baseline
-//! strategy is kept for the ablation study.
+//! the decision tree trained on the impact analysis.
 
 use dmpb_metrics::{AccuracyReport, MetricId, MetricVector};
 use dmpb_perfmodel::arch::ArchProfile;
@@ -13,17 +12,6 @@ use crate::dtree::DecisionTree;
 use crate::impact::{analyze, Action, ImpactAnalysis};
 use crate::proxy::ProxyBenchmark;
 
-/// Which model drives the adjusting stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TunerStrategy {
-    /// The paper's approach: a decision tree trained on the impact
-    /// analysis chooses the parameter to adjust.
-    DecisionTree,
-    /// Baseline: greedily pick the parameter with the largest impact on the
-    /// worst metric (used by the ablation bench).
-    Greedy,
-}
-
 /// Auto-tuner configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoTuner {
@@ -31,8 +19,6 @@ pub struct AutoTuner {
     pub deviation_threshold: f64,
     /// Upper bound on adjusting/feedback iterations.
     pub max_iterations: usize,
-    /// Adjusting-stage strategy.
-    pub strategy: TunerStrategy,
 }
 
 impl Default for AutoTuner {
@@ -40,7 +26,6 @@ impl Default for AutoTuner {
         Self {
             deviation_threshold: 0.15,
             max_iterations: 30,
-            strategy: TunerStrategy::DecisionTree,
         }
     }
 }
@@ -59,23 +44,19 @@ pub struct TuningOutcome {
     /// Number of adjusting/feedback iterations performed.
     pub iterations: usize,
     /// Average accuracy after each iteration (starting with the initial
-    /// proxy), used by the ablation study to compare convergence.
+    /// proxy): the tuner's convergence trace.
     pub history: Vec<f64>,
 }
 
 impl AutoTuner {
     /// A stable fingerprint of the tuner configuration, used by the
     /// [`crate::runner::TuningCache`] to key memoized tuning results: two
-    /// tuners with the same threshold, iteration budget and strategy
-    /// produce the same fingerprint; any difference changes it.
+    /// tuners with the same threshold and iteration budget produce the
+    /// same fingerprint; any difference changes it.
     pub fn fingerprint(&self) -> u64 {
         crate::fnv::hash_u64s([
             self.deviation_threshold.to_bits(),
             self.max_iterations as u64,
-            match self.strategy {
-                TunerStrategy::DecisionTree => 1,
-                TunerStrategy::Greedy => 2,
-            },
         ])
     }
 
@@ -142,9 +123,9 @@ impl AutoTuner {
         }
     }
 
-    /// Ranks candidate actions for the current deviation, according to the
-    /// configured strategy, always ending with every remaining action so
-    /// that the feedback stage can fall through.
+    /// Ranks candidate actions for the current deviation: the decision
+    /// tree's pick, then the greedy best action for the worst metric, then
+    /// every remaining action so that the feedback stage can fall through.
     fn candidate_actions(
         &self,
         impact: &ImpactAnalysis,
@@ -165,29 +146,24 @@ impl AutoTuner {
                     (target.get(worst_metric) - base) / base
                 }
             };
-            match self.strategy {
-                TunerStrategy::DecisionTree => {
-                    // Ask the tree which action produces the change the
-                    // proxy needs: the feature vector is the needed relative
-                    // change of every tracked metric.
-                    let needed_vector: Vec<f64> = impact
-                        .metrics
-                        .iter()
-                        .map(|&m| {
-                            let base = current.get(m);
-                            if base == 0.0 {
-                                0.0
-                            } else {
-                                (target.get(m) - base) / base
-                            }
-                        })
-                        .collect();
-                    let label = tree.predict(&needed_vector);
-                    if let Some(action) = impact.actions().get(label).copied() {
-                        ranked.push(action);
+            // Ask the tree which action produces the change the proxy
+            // needs: the feature vector is the needed relative change of
+            // every tracked metric.
+            let needed_vector: Vec<f64> = impact
+                .metrics
+                .iter()
+                .map(|&m| {
+                    let base = current.get(m);
+                    if base == 0.0 {
+                        0.0
+                    } else {
+                        (target.get(m) - base) / base
                     }
-                }
-                TunerStrategy::Greedy => {}
+                })
+                .collect();
+            let label = tree.predict(&needed_vector);
+            if let Some(action) = impact.actions().get(label).copied() {
+                ranked.push(action);
             }
             if let Some(action) = impact.best_greedy_action(worst_metric, needed) {
                 if !ranked.contains(&action) {
@@ -212,7 +188,7 @@ mod tests {
     use crate::features::{initial_parameters, FeatureSelection};
     use dmpb_workloads::{workload_by_kind, ClusterConfig, WorkloadKind};
 
-    fn tune_kind(kind: WorkloadKind, strategy: TunerStrategy) -> TuningOutcome {
+    fn tune_kind(kind: WorkloadKind) -> TuningOutcome {
         let cluster = ClusterConfig::five_node_westmere();
         let workload = workload_by_kind(kind);
         let target = workload.measure(&cluster);
@@ -221,7 +197,6 @@ mod tests {
             initial_parameters(workload.as_ref(), &cluster),
         );
         let tuner = AutoTuner {
-            strategy,
             max_iterations: 12,
             ..AutoTuner::default()
         };
@@ -235,14 +210,14 @@ mod tests {
 
     #[test]
     fn tuning_never_decreases_accuracy() {
-        let outcome = tune_kind(WorkloadKind::TeraSort, TunerStrategy::DecisionTree);
+        let outcome = tune_kind(WorkloadKind::TeraSort);
         assert!(outcome.history.windows(2).all(|w| w[1] >= w[0] - 1e-9));
         assert!(!outcome.history.is_empty());
     }
 
     #[test]
     fn tuning_improves_over_the_initial_proxy() {
-        let outcome = tune_kind(WorkloadKind::AlexNet, TunerStrategy::DecisionTree);
+        let outcome = tune_kind(WorkloadKind::AlexNet);
         let first = outcome.history.first().copied().unwrap();
         let last = outcome.history.last().copied().unwrap();
         assert!(last >= first, "first {first} last {last}");
@@ -250,19 +225,9 @@ mod tests {
     }
 
     #[test]
-    fn greedy_strategy_also_converges() {
-        let outcome = tune_kind(WorkloadKind::PageRank, TunerStrategy::Greedy);
-        assert!(
-            outcome.accuracy.average() > 0.5,
-            "accuracy {}",
-            outcome.accuracy.average()
-        );
-    }
-
-    #[test]
     fn outcome_metrics_match_the_reported_proxy() {
         let cluster = ClusterConfig::five_node_westmere();
-        let outcome = tune_kind(WorkloadKind::KMeans, TunerStrategy::DecisionTree);
+        let outcome = tune_kind(WorkloadKind::KMeans);
         let remeasured = outcome.proxy.measure(&cluster.node.arch);
         assert_eq!(remeasured, outcome.metrics);
     }

@@ -3,13 +3,13 @@
 //! The generated proxy carries the workload's declared fork/join
 //! [`DagPlan`](dmpb_motifs::DagPlan) through the decomposition, so
 //! [`GenerationReport::dag`] yields the executable branching DAG the
-//! stage-parallel [`crate::executor::DagExecutor`] schedules.
+//! work-stealing [`crate::executor::DagExecutor`] schedules.
 
 use dmpb_metrics::{AccuracyReport, MetricVector};
 use dmpb_workloads::workload::Workload;
 use dmpb_workloads::{workload_by_kind, ClusterConfig, WorkloadKind};
 
-use crate::autotune::{AutoTuner, TunerStrategy};
+use crate::autotune::AutoTuner;
 use crate::decompose::{decompose, Decomposition};
 use crate::features::{initial_parameters, FeatureSelection};
 use crate::proxy::ProxyBenchmark;
@@ -65,13 +65,6 @@ impl ProxyGenerator {
             features: FeatureSelection::paper_default(),
             tuner: AutoTuner::default(),
         }
-    }
-
-    /// Uses the greedy baseline tuner instead of the decision tree
-    /// (ablation).
-    pub fn with_greedy_tuner(mut self) -> Self {
-        self.tuner.strategy = TunerStrategy::Greedy;
-        self
     }
 
     /// Generates a qualified proxy for `workload`.
@@ -136,18 +129,5 @@ mod tests {
         assert!(report.speedup > 20.0, "speedup {}", report.speedup);
         assert_eq!(report.kind, WorkloadKind::TeraSort);
         assert!(!report.decomposition.components.is_empty());
-    }
-
-    #[test]
-    fn greedy_generator_also_produces_a_proxy() {
-        let generator =
-            ProxyGenerator::new(ClusterConfig::five_node_westmere()).with_greedy_tuner();
-        let report = generator.generate_kind(WorkloadKind::AlexNet);
-        assert!(
-            report.accuracy.average() > 0.6,
-            "accuracy {}",
-            report.accuracy.average()
-        );
-        assert!(report.speedup > 10.0, "speedup {}", report.speedup);
     }
 }

@@ -31,7 +31,7 @@
 //! which can be measured under the shared performance-model instrument or
 //! executed for real on generated sample data: the workload's declared
 //! fork/join topology becomes a branching [`dag::ProxyDag`], and the
-//! stage-parallel [`executor::DagExecutor`] runs its motif kernels —
+//! work-stealing [`executor::DagExecutor`] runs its motif kernels —
 //! independent branches concurrently — through the motif-kernel registry,
 //! with per-edge derived seeds keeping digests byte-identical across
 //! thread counts.

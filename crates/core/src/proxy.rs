@@ -5,7 +5,7 @@
 //! All motif cost modelling and kernel execution dispatches through the
 //! [`MotifRegistry`] — the proxy holds no per-motif `match` blocks.  The
 //! DAG topology comes from the workload's declared [`DagPlan`] (fork/join
-//! structure included) and is executed by the stage-parallel
+//! structure included) and is executed by the work-stealing
 //! [`DagExecutor`].
 
 use std::collections::HashMap;
@@ -155,18 +155,7 @@ impl ProxyBenchmark {
     /// carry the proxy input, intermediate and sink nodes the (half-sized)
     /// in-flight data sets.
     pub fn dag(&self) -> ProxyDag {
-        self.dag_from_plan(&self.plan)
-    }
-
-    /// The degenerate straight-pipeline version of the same proxy (one
-    /// stage per motif, in component order) — the pre-fork/join shape,
-    /// kept for linear-vs-branching comparisons in the benches.
-    pub fn chain_dag(&self) -> ProxyDag {
-        let motifs: Vec<MotifKind> = self.components.iter().map(|c| c.motif).collect();
-        self.dag_from_plan(&DagPlan::chain(&motifs))
-    }
-
-    fn dag_from_plan(&self, plan: &DagPlan) -> ProxyDag {
+        let plan = &self.plan;
         let weights: HashMap<MotifKind, f64> = self.effective_weights().into_iter().collect();
         let intermediate = self
             .proxy_input()
@@ -281,7 +270,7 @@ impl ProxyBenchmark {
 
     /// Convenience wrapper around [`ProxyBenchmark::execute_dag`] with a
     /// serial executor, summarised to kernel count + checksum (used by the
-    /// examples and the Criterion benches).
+    /// tests).
     pub fn execute_sample(&self, elements: usize, seed: u64) -> ExecutionSummary {
         ExecutionSummary::from(&self.execute_dag(&DagExecutor::new(), elements, seed))
     }
@@ -340,7 +329,7 @@ mod tests {
     }
 
     #[test]
-    fn dag_follows_the_declared_plan_and_chain_dag_stays_linear() {
+    fn dag_follows_the_declared_plan() {
         for proxy in proxies() {
             let dag = proxy.dag();
             assert_eq!(
@@ -349,9 +338,6 @@ mod tests {
                 "{}",
                 proxy.name()
             );
-            let chain = proxy.chain_dag();
-            assert!(!chain.is_branching(), "{}", proxy.name());
-            assert_eq!(chain.num_edges(), dag.num_edges());
         }
     }
 

@@ -642,7 +642,6 @@ impl SuiteRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autotune::TunerStrategy;
 
     #[test]
     fn run_all_covers_every_workload_in_order() {
@@ -759,13 +758,15 @@ mod tests {
     #[test]
     fn different_tuner_config_changes_the_key() {
         let cluster = ClusterConfig::five_node_westmere();
-        let tree = ProxyGenerator::new(cluster);
-        let greedy = ProxyGenerator::new(cluster).with_greedy_tuner();
-        assert_ne!(
-            TuningKey::new(WorkloadKind::KMeans, &tree),
-            TuningKey::new(WorkloadKind::KMeans, &greedy)
-        );
-        assert_eq!(greedy.tuner.strategy, TunerStrategy::Greedy);
+        let default = ProxyGenerator::new(cluster);
+        let mut fewer_iterations = ProxyGenerator::new(cluster);
+        fewer_iterations.tuner.max_iterations -= 1;
+        let mut looser_threshold = ProxyGenerator::new(cluster);
+        looser_threshold.tuner.deviation_threshold += 0.05;
+        let key = TuningKey::new(WorkloadKind::KMeans, &default);
+        for changed in [&fewer_iterations, &looser_threshold] {
+            assert_ne!(key, TuningKey::new(WorkloadKind::KMeans, changed));
+        }
     }
 
     #[test]

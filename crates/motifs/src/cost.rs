@@ -7,9 +7,7 @@
 //! the dynamic instructions per logical element the kernel executes,
 //! describes how the kernel walks memory, how predictable its branches are
 //! and how much disk traffic it causes.  The constants are calibrated
-//! qualitatively against the kernels in [`crate::bigdata`] / [`crate::ai`]
-//! (an ablation bench compares cost-model scaling against real kernel
-//! wall-clock scaling).
+//! qualitatively against the kernels in [`crate::bigdata`] / [`crate::ai`].
 
 use dmpb_datagen::DataDescriptor;
 use dmpb_perfmodel::access::AccessPattern;

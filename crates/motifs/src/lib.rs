@@ -16,7 +16,7 @@
 //! Every implementation in this crate has two faces:
 //!
 //! * a **real kernel** — a plain Rust function that actually computes
-//!   (sorts, convolves, hashes…), used by the Criterion benches, the
+//!   (sorts, convolves, hashes…), run by the proxies' DAG executor, the
 //!   examples and the correctness tests; and
 //! * a **cost model** — [`MotifKind::cost_profile`], which maps an input
 //!   [`dmpb_datagen::DataDescriptor`] and a [`MotifConfig`] to the

@@ -6,8 +6,7 @@
 //! predict well, hash-partitioned shuffles and pointer-chasing graph code
 //! predict worse.  A classic gshare predictor (global history XOR PC
 //! indexing a table of two-bit saturating counters) over a sampled branch
-//! outcome stream captures exactly that, and a bimodal predictor is kept as
-//! a simpler baseline for ablation.
+//! outcome stream captures exactly that.
 
 use crate::arch::BranchPredictorConfig;
 
@@ -54,54 +53,6 @@ impl BranchStats {
     }
 }
 
-/// Common interface of the predictors.
-pub trait BranchPredictor {
-    /// Predicts and then trains on the actual outcome, returning whether
-    /// the prediction was correct.
-    fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool;
-
-    /// Accumulated statistics.
-    fn stats(&self) -> BranchStats;
-}
-
-/// A simple per-PC bimodal predictor (baseline).
-#[derive(Debug, Clone)]
-pub struct BimodalPredictor {
-    table: Vec<TwoBitCounter>,
-    mask: u64,
-    stats: BranchStats,
-}
-
-impl BimodalPredictor {
-    /// Creates a predictor with `2^index_bits` counters.
-    pub fn new(index_bits: u32) -> Self {
-        let size = 1usize << index_bits;
-        Self {
-            table: vec![TwoBitCounter::new(); size],
-            mask: (size - 1) as u64,
-            stats: BranchStats::default(),
-        }
-    }
-}
-
-impl BranchPredictor for BimodalPredictor {
-    fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
-        let idx = ((pc >> 2) & self.mask) as usize;
-        let predicted = self.table[idx].predict();
-        self.table[idx].update(taken);
-        self.stats.predictions += 1;
-        let correct = predicted == taken;
-        if !correct {
-            self.stats.mispredictions += 1;
-        }
-        correct
-    }
-
-    fn stats(&self) -> BranchStats {
-        self.stats
-    }
-}
-
 /// A gshare predictor: global history XORed with the PC indexes a table of
 /// two-bit counters.
 #[derive(Debug, Clone)]
@@ -131,10 +82,10 @@ impl GsharePredictor {
             stats: BranchStats::default(),
         }
     }
-}
 
-impl BranchPredictor for GsharePredictor {
-    fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
+    /// Predicts and then trains on the actual outcome, returning whether
+    /// the prediction was correct.
+    pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
         let idx = (((pc >> 2) ^ self.history) & self.mask) as usize;
         let predicted = self.table[idx].predict();
         self.table[idx].update(taken);
@@ -147,7 +98,8 @@ impl BranchPredictor for GsharePredictor {
         correct
     }
 
-    fn stats(&self) -> BranchStats {
+    /// Accumulated statistics.
+    pub fn stats(&self) -> BranchStats {
         self.stats
     }
 }
@@ -184,23 +136,15 @@ mod tests {
     }
 
     #[test]
-    fn alternating_pattern_is_learned_by_gshare_not_bimodal() {
+    fn alternating_pattern_is_learned_by_gshare() {
         let mut gshare = GsharePredictor::new(12, 10);
-        let mut bimodal = BimodalPredictor::new(12);
         for i in 0..20_000u64 {
-            let taken = i % 2 == 0;
-            gshare.predict_and_update(0x400_100, taken);
-            bimodal.predict_and_update(0x400_100, taken);
+            gshare.predict_and_update(0x400_100, i % 2 == 0);
         }
         assert!(
             gshare.stats().miss_ratio() < 0.05,
             "gshare {}",
             gshare.stats().miss_ratio()
-        );
-        assert!(
-            bimodal.stats().miss_ratio() > 0.4,
-            "bimodal {}",
-            bimodal.stats().miss_ratio()
         );
     }
 

@@ -15,7 +15,7 @@ use dmpb_metrics::MetricVector;
 
 use crate::access::AddressStream;
 use crate::arch::ArchProfile;
-use crate::branch::{BranchPredictor, GsharePredictor};
+use crate::branch::GsharePredictor;
 use crate::hierarchy::{CacheHierarchy, ServedBy};
 use crate::pipeline::{self, CacheBehavior};
 use crate::profile::OpProfile;

@@ -15,7 +15,7 @@
 //!   and [`arch::NodeConfig`]s of the evaluation clusters;
 //! * [`cache`] / [`hierarchy`] — set-associative LRU caches combined into
 //!   the L1I / L1D / L2 / L3 hierarchy;
-//! * [`branch`] — bimodal and gshare branch predictors;
+//! * [`branch`] — the gshare branch predictor;
 //! * [`access`] — memory access-pattern descriptors and the sampled
 //!   synthetic address streams derived from them;
 //! * [`profile`] — [`profile::OpProfile`], the workload-side interface:

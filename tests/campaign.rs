@@ -1,6 +1,6 @@
 //! Campaign-engine gates: scenario expansion determinism, result-store
 //! byte-identity across cold/warm runs and worker counts, and the
-//! acceptance criterion that the bundled paper-tables scenario reproduces
+//! acceptance gate that the bundled paper-tables scenario reproduces
 //! the legacy Table VI suite sweep digest-for-digest.
 
 use data_motif_proxy::core::runner::{SuiteRunner, DEFAULT_BASE_SEED, SAMPLE_ELEMENTS};
@@ -10,7 +10,7 @@ use data_motif_proxy::scenario::{
 use data_motif_proxy::workloads::{ClusterConfig, WorkloadKind};
 use proptest::prelude::*;
 
-/// The acceptance criterion: running the committed
+/// The acceptance gate: running the committed
 /// `examples/scenarios/paper_tables.toml` through the campaign engine
 /// yields cells byte-identical to the legacy `table6` path (a
 /// `SuiteRunner::run_all` on the five-node Westmere cluster), and a warm
