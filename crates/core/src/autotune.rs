@@ -4,12 +4,18 @@
 //! workload's metric vector (Equation 3), and while any tracked metric
 //! deviates by more than the threshold it adjusts one parameter chosen by
 //! the decision tree trained on the impact analysis.
+//!
+//! Every probe of one tune, impact analysis included, is measured through
+//! one [`SimMemo`]: a probe whose cache or branch inputs an earlier probe
+//! already simulated (a `numTasks` step, an action undoing the last
+//! accepted one) only redoes the engine's analytic arithmetic.
 
 use dmpb_metrics::{AccuracyReport, MetricId, MetricVector};
 use dmpb_perfmodel::arch::ArchProfile;
+use dmpb_perfmodel::{ExecutionEngine, SimMemo};
 
 use crate::dtree::DecisionTree;
-use crate::impact::{analyze, Action, ImpactAnalysis};
+use crate::impact::{analyze_with, Action, ImpactAnalysis};
 use crate::proxy::ProxyBenchmark;
 
 /// Auto-tuner configuration.
@@ -46,6 +52,10 @@ pub struct TuningOutcome {
     /// Average accuracy after each iteration (starting with the initial
     /// proxy): the tuner's convergence trace.
     pub history: Vec<f64>,
+    /// Cache-hierarchy and branch simulations the tune ran.
+    pub sim_runs: usize,
+    /// Simulations the tune skipped because an earlier probe had run them.
+    pub sim_memo_hits: usize,
 }
 
 impl AutoTuner {
@@ -70,7 +80,8 @@ impl AutoTuner {
         metrics: &[MetricId],
     ) -> TuningOutcome {
         // --- Impact analysis + decision-tree training --------------------
-        let impact = analyze(&initial, arch, metrics);
+        let mut memo = SimMemo::new(ExecutionEngine::new(*arch));
+        let impact = analyze_with(&initial, metrics, &mut memo);
         let tree = DecisionTree::train(&impact.training_samples(), 6);
 
         let mut best = initial;
@@ -95,7 +106,7 @@ impl AutoTuner {
                     continue;
                 }
                 let candidate = best.with_parameters(adjusted);
-                let candidate_metrics = candidate.measure(arch);
+                let candidate_metrics = candidate.measure_with(&mut memo);
                 let candidate_accuracy =
                     AccuracyReport::compare(target, &candidate_metrics, metrics);
                 if candidate_accuracy.average() > best_accuracy.average() + 1e-6 {
@@ -120,6 +131,8 @@ impl AutoTuner {
             qualified,
             iterations,
             history,
+            sim_runs: memo.sim_runs(),
+            sim_memo_hits: memo.sim_memo_hits(),
         }
     }
 
@@ -230,5 +243,17 @@ mod tests {
         let outcome = tune_kind(WorkloadKind::KMeans);
         let remeasured = outcome.proxy.measure(&cluster.node.arch);
         assert_eq!(remeasured, outcome.metrics);
+    }
+
+    #[test]
+    fn tunes_reuse_simulations_and_count_them_deterministically() {
+        let first = tune_kind(WorkloadKind::TeraSort);
+        assert!(first.sim_memo_hits > 0, "no memo hits");
+        assert!(first.sim_runs > 0);
+        let second = tune_kind(WorkloadKind::TeraSort);
+        assert_eq!(
+            (first.sim_runs, first.sim_memo_hits),
+            (second.sim_runs, second.sim_memo_hits)
+        );
     }
 }

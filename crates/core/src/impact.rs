@@ -8,6 +8,7 @@
 
 use dmpb_metrics::{MetricId, MetricVector};
 use dmpb_perfmodel::arch::ArchProfile;
+use dmpb_perfmodel::{ExecutionEngine, SimMemo};
 
 use crate::dtree::Sample;
 use crate::parameters::{Direction, ParameterId};
@@ -40,7 +41,21 @@ pub struct ImpactAnalysis {
 /// Runs the impact analysis: measures the proxy once as a baseline, then
 /// re-measures it with every parameter nudged one step in each direction.
 pub fn analyze(proxy: &ProxyBenchmark, arch: &ArchProfile, metrics: &[MetricId]) -> ImpactAnalysis {
-    let baseline = proxy.measure(arch);
+    analyze_with(
+        proxy,
+        metrics,
+        &mut SimMemo::new(ExecutionEngine::new(*arch)),
+    )
+}
+
+/// [`analyze`] on the memo's architecture, measuring every probe through
+/// `memo` so later probes of the same tune can reuse its simulations.
+pub fn analyze_with(
+    proxy: &ProxyBenchmark,
+    metrics: &[MetricId],
+    memo: &mut SimMemo,
+) -> ImpactAnalysis {
+    let baseline = proxy.measure_with(memo);
     let mut entries = Vec::new();
     for parameter in ParameterId::ALL {
         for direction in [Direction::Up, Direction::Down] {
@@ -49,7 +64,7 @@ pub fn analyze(proxy: &ProxyBenchmark, arch: &ArchProfile, metrics: &[MetricId])
                 // Already at the bound; the action does nothing.
                 continue;
             }
-            let measured = proxy.with_parameters(adjusted).measure(arch);
+            let measured = proxy.with_parameters(adjusted).measure_with(memo);
             let deltas = metrics
                 .iter()
                 .map(|&m| {

@@ -15,7 +15,7 @@ use dmpb_metrics::MetricVector;
 use dmpb_motifs::{DagPlan, MotifKind, MotifRegistry};
 use dmpb_perfmodel::arch::ArchProfile;
 use dmpb_perfmodel::profile::OpProfile;
-use dmpb_perfmodel::ExecutionEngine;
+use dmpb_perfmodel::{ExecutionEngine, SimMemo};
 use dmpb_workloads::framework::jvm;
 use dmpb_workloads::WorkloadKind;
 
@@ -258,6 +258,12 @@ impl ProxyBenchmark {
     /// performance-model instrument.
     pub fn measure(&self, arch: &ArchProfile) -> MetricVector {
         ExecutionEngine::new(*arch).run(&self.profile(), self.parameters.num_tasks)
+    }
+
+    /// [`ProxyBenchmark::measure`] on the memo's architecture, reusing any
+    /// cache or branch simulation `memo` already holds (bit-identical).
+    pub fn measure_with(&self, memo: &mut SimMemo) -> MetricVector {
+        memo.run(&self.profile(), self.parameters.num_tasks)
     }
 
     /// Really executes every motif kernel of the proxy's DAG on freshly

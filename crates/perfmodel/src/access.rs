@@ -14,7 +14,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 /// How a kernel walks a region of memory.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessPattern {
     /// Consecutive addresses (streaming read/write, e.g. scanning records).
     Sequential,

@@ -6,6 +6,24 @@
 //! simulators consume bounded, seeded sample streams derived from the
 //! profile's access and branch descriptors, and every analytic step is a
 //! pure function of the profile and the architecture.
+//!
+//! A run has two halves: [`ExecutionEngine::run`] is
+//! `derive(&simulate(profile), profile, threads)`.
+//!
+//! * [`ExecutionEngine::simulate`] drives the two simulators and returns a
+//!   [`SimOutcome`]: the four cache hit ratios, the fraction of data
+//!   accesses served by main memory, and the branch misprediction ratio.
+//!   Each simulator reads only its own key, built from the profile: the
+//!   cache hierarchy a `HierarchyInputs` (code footprint and, per sampled
+//!   segment, its index, pattern, working set and sample count), the
+//!   branch predictor a `BranchInputs` (the branch behaviour's bits, or
+//!   nothing for a branch-free profile).  The thread count and the
+//!   instruction mix never reach a simulator.
+//! * [`ExecutionEngine::derive`] is the analytic rest: the pipeline model,
+//!   the Amdahl runtime over `threads`, the bandwidth ceiling and disk I/O.
+//!
+//! The split is what lets [`crate::memo::SimMemo`] reuse a simulation for
+//! every later profile with the same key.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -13,7 +31,7 @@ use rand::SeedableRng;
 
 use dmpb_metrics::MetricVector;
 
-use crate::access::AddressStream;
+use crate::access::{AccessPattern, AddressStream};
 use crate::arch::ArchProfile;
 use crate::branch::GsharePredictor;
 use crate::hierarchy::{CacheHierarchy, ServedBy};
@@ -89,14 +107,70 @@ fn mlp_friendliness(profile: &OpProfile) -> f64 {
 
 /// How much of an access pattern's miss latency the core (and the hardware
 /// prefetchers) can overlap with other work.
-fn pattern_mlp(pattern: crate::access::AccessPattern) -> f64 {
-    use crate::access::AccessPattern::*;
+fn pattern_mlp(pattern: AccessPattern) -> f64 {
+    use AccessPattern::*;
     match pattern {
         Sequential => 0.97,
         Strided { .. } => 0.88,
         Random => 0.65,
         PointerChase => POINTER_CHASE_MLP,
     }
+}
+
+/// The cache hierarchy's share of a [`SimOutcome`]: steady-state hit
+/// ratios and the fraction of data accesses served by main memory.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HierarchyOutcome {
+    /// L1 instruction-cache hit ratio.
+    pub l1i_hit: f64,
+    /// L1 data-cache hit ratio.
+    pub l1d_hit: f64,
+    /// L2 hit ratio (of accesses reaching L2).
+    pub l2_hit: f64,
+    /// L3 hit ratio (of accesses reaching L3).
+    pub l3_hit: f64,
+    /// Fraction of sampled data accesses served by main memory.
+    pub memory_served: f64,
+}
+
+/// Everything the simulators measured for one profile; the input of
+/// [`ExecutionEngine::derive`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SimOutcome {
+    /// What the cache-hierarchy simulation measured.
+    pub hierarchy: HierarchyOutcome,
+    /// Misprediction ratio of the sampled branch stream (0 for a
+    /// branch-free profile).
+    pub branch_miss_ratio: f64,
+}
+
+/// One sampled memory segment as the cache-hierarchy simulator sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct SegmentInputs {
+    /// Position in [`OpProfile::normalized_segments`], counting segments
+    /// that draw no samples: it sets the stream's base address and seed.
+    index: usize,
+    pattern: AccessPattern,
+    working_set_bytes: u64,
+    /// Sampled accesses per pass, always non-zero.
+    samples: usize,
+}
+
+/// Exactly the profile inputs the cache-hierarchy simulation reads.  Under
+/// one engine, equal inputs give bit-identical [`HierarchyOutcome`]s.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct HierarchyInputs {
+    code_footprint_bytes: u64,
+    segments: Vec<SegmentInputs>,
+}
+
+/// Exactly the profile inputs the branch simulation reads: the bits of
+/// the branch behaviour's taken ratio and regularity.  A profile without
+/// branches has none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct BranchInputs {
+    taken_ratio_bits: u64,
+    regularity_bits: u64,
 }
 
 /// The shared measurement instrument of the reproduction.
@@ -132,34 +206,37 @@ impl ExecutionEngine {
     ///
     /// Panics if `threads` is zero.
     pub fn run(&self, profile: &OpProfile, threads: u32) -> MetricVector {
+        self.derive(&self.simulate(profile), profile, threads)
+    }
+
+    /// Runs the cache-hierarchy and branch simulations of `profile`.
+    pub fn simulate(&self, profile: &OpProfile) -> SimOutcome {
+        SimOutcome {
+            hierarchy: self.simulate_hierarchy(&self.hierarchy_inputs(profile)),
+            branch_miss_ratio: self
+                .branch_inputs(profile)
+                .map_or(0.0, |inputs| self.simulate_branches(inputs)),
+        }
+    }
+
+    /// The analytic half of [`ExecutionEngine::run`]: folds the simulated
+    /// ratios of `sim` into the pipeline, runtime and bandwidth model for
+    /// `profile` on `threads` worker tasks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is zero.
+    pub fn derive(&self, sim: &SimOutcome, profile: &OpProfile, threads: u32) -> MetricVector {
         assert!(threads > 0, "at least one thread is required");
         let arch = &self.arch;
-        let mut hierarchy = CacheHierarchy::for_arch(arch);
-
-        // Both simulated paths run a warm-up pass first and are measured in
-        // steady state: the sampled streams are far shorter than the real
-        // instruction stream, so cold-start misses would otherwise dominate
-        // working sets that are in fact cache resident for most of the run.
-        let mut fetch_state = FetchState::default();
-        let mut data_streams = self.build_data_streams(profile);
-
-        // --- Warm-up pass -----------------------------------------------
-        self.simulate_instruction_fetches(profile, &mut hierarchy, &mut fetch_state);
-        self.simulate_data_accesses(&mut data_streams, &mut hierarchy);
-        hierarchy.reset_stats();
-
-        // --- Measured pass -----------------------------------------------
-        self.simulate_instruction_fetches(profile, &mut hierarchy, &mut fetch_state);
-        let memory_served = self.simulate_data_accesses(&mut data_streams, &mut hierarchy);
-        let mlp_friendliness = mlp_friendliness(profile);
-
-        let l1i_hit = hierarchy.l1i_stats().hit_ratio();
-        let l1d_hit = hierarchy.l1d_stats().hit_ratio();
-        let l2_hit = hierarchy.l2_stats().hit_ratio();
-        let l3_hit = hierarchy.l3_stats().hit_ratio();
-
-        // --- Branch path ----------------------------------------------------
-        let branch_miss_ratio = self.simulate_branches(profile);
+        let HierarchyOutcome {
+            l1i_hit,
+            l1d_hit,
+            l2_hit,
+            l3_hit,
+            memory_served,
+        } = sim.hierarchy;
+        let branch_miss_ratio = sim.branch_miss_ratio;
 
         // --- Pipeline -------------------------------------------------------
         let mix = profile.instructions.mix();
@@ -168,7 +245,7 @@ impl ExecutionEngine {
             l1d_hit,
             l2_hit,
             l3_hit,
-            mlp_friendliness,
+            mlp_friendliness: mlp_friendliness(profile),
         };
         let pipe = pipeline::estimate(arch, &mix, &cache_behavior, branch_miss_ratio);
 
@@ -229,27 +306,91 @@ impl ExecutionEngine {
         }
     }
 
-    /// Builds one sampled address stream per memory segment, each with its
-    /// own non-overlapping address range and sample budget.
-    fn build_data_streams(&self, profile: &OpProfile) -> Vec<(AddressStream, usize)> {
-        profile
+    /// The key of the cache-hierarchy simulation of `profile`.
+    pub(crate) fn hierarchy_inputs(&self, profile: &OpProfile) -> HierarchyInputs {
+        let segments = profile
             .normalized_segments()
             .iter()
             .enumerate()
-            .filter_map(|(i, segment)| {
-                let n = ((self.config.sample_data_accesses as f64) * segment.access_weight).round()
-                    as usize;
-                if n == 0 {
-                    return None;
-                }
-                let base = 0x1_0000_0000_u64 + ((i as u64) << 34);
+            .filter_map(|(index, segment)| {
+                let samples = ((self.config.sample_data_accesses as f64) * segment.access_weight)
+                    .round() as usize;
+                (samples > 0).then_some(SegmentInputs {
+                    index,
+                    pattern: segment.pattern,
+                    working_set_bytes: segment.working_set_bytes,
+                    samples,
+                })
+            })
+            .collect();
+        HierarchyInputs {
+            code_footprint_bytes: profile.code_footprint_bytes,
+            segments,
+        }
+    }
+
+    /// The key of the branch simulation of `profile`, or `None` when the
+    /// profile executes no branches and there is nothing to simulate.
+    pub(crate) fn branch_inputs(&self, profile: &OpProfile) -> Option<BranchInputs> {
+        (profile.instructions.branch != 0).then_some(BranchInputs {
+            taken_ratio_bits: profile.branch.taken_ratio.to_bits(),
+            regularity_bits: profile.branch.regularity.to_bits(),
+        })
+    }
+
+    /// Simulates the instruction-fetch and data-access streams described
+    /// by `inputs` through a fresh cache hierarchy of the architecture.
+    ///
+    /// Both streams run a warm-up pass first and are measured in steady
+    /// state: the sampled streams are far shorter than the real
+    /// instruction stream, so cold-start misses would otherwise dominate
+    /// working sets that are in fact cache resident for most of the run.
+    pub(crate) fn simulate_hierarchy(&self, inputs: &HierarchyInputs) -> HierarchyOutcome {
+        let mut hierarchy = CacheHierarchy::for_arch(&self.arch);
+        let mut fetch_state = FetchState::default();
+        let mut data_streams = self.build_data_streams(&inputs.segments);
+
+        // --- Warm-up pass -----------------------------------------------
+        self.simulate_instruction_fetches(
+            inputs.code_footprint_bytes,
+            &mut hierarchy,
+            &mut fetch_state,
+        );
+        Self::simulate_data_accesses(&mut data_streams, &mut hierarchy);
+        hierarchy.reset_stats();
+
+        // --- Measured pass -----------------------------------------------
+        self.simulate_instruction_fetches(
+            inputs.code_footprint_bytes,
+            &mut hierarchy,
+            &mut fetch_state,
+        );
+        let memory_served = Self::simulate_data_accesses(&mut data_streams, &mut hierarchy);
+
+        HierarchyOutcome {
+            l1i_hit: hierarchy.l1i_stats().hit_ratio(),
+            l1d_hit: hierarchy.l1d_stats().hit_ratio(),
+            l2_hit: hierarchy.l2_stats().hit_ratio(),
+            l3_hit: hierarchy.l3_stats().hit_ratio(),
+            memory_served,
+        }
+    }
+
+    /// Builds one sampled address stream per sampled memory segment, each
+    /// with its own non-overlapping address range and sample budget.
+    fn build_data_streams(&self, segments: &[SegmentInputs]) -> Vec<(AddressStream, usize)> {
+        segments
+            .iter()
+            .map(|segment| {
+                let i = segment.index as u64;
+                let base = 0x1_0000_0000_u64 + (i << 34);
                 let stream = AddressStream::new(
                     segment.pattern,
                     base,
                     segment.working_set_bytes,
-                    self.config.seed.wrapping_add(i as u64 * 7919),
+                    self.config.seed.wrapping_add(i * 7919),
                 );
-                Some((stream, n))
+                (stream, segment.samples)
             })
             .collect()
     }
@@ -262,11 +403,11 @@ impl ExecutionEngine {
     /// pass.
     fn simulate_instruction_fetches(
         &self,
-        profile: &OpProfile,
+        code_footprint_bytes: u64,
         hierarchy: &mut CacheHierarchy,
         state: &mut FetchState,
     ) {
-        let footprint = profile.code_footprint_bytes.max(1024);
+        let footprint = code_footprint_bytes.max(1024);
         for _ in 0..self.config.sample_instruction_fetches {
             if state.rng.gen::<f64>() < CALL_JUMP_PROBABILITY {
                 let regions = (footprint / FUNCTION_REGION_BYTES).max(1);
@@ -282,7 +423,6 @@ impl ExecutionEngine {
     /// Advances every sampled data stream by its budget, returning the
     /// fraction of accesses served by main memory in this pass.
     fn simulate_data_accesses(
-        &self,
         streams: &mut [(AddressStream, usize)],
         hierarchy: &mut CacheHierarchy,
     ) -> f64 {
@@ -311,13 +451,11 @@ impl ExecutionEngine {
         }
     }
 
-    /// Simulates the sampled branch stream through a gshare predictor and
-    /// returns the misprediction ratio.
-    fn simulate_branches(&self, profile: &OpProfile) -> f64 {
-        if profile.instructions.branch == 0 {
-            return 0.0;
-        }
-        let behavior = profile.branch;
+    /// Simulates the sampled branch stream described by `inputs` through a
+    /// gshare predictor and returns the misprediction ratio.
+    pub(crate) fn simulate_branches(&self, inputs: BranchInputs) -> f64 {
+        let taken_ratio = f64::from_bits(inputs.taken_ratio_bits);
+        let regularity = f64::from_bits(inputs.regularity_bits);
         let mut predictor = GsharePredictor::from_config(self.arch.branch);
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xB4A2);
         // A handful of static branch sites, as in a hot loop nest.
@@ -325,11 +463,11 @@ impl ExecutionEngine {
         let mut phase: f64 = 0.0;
         for i in 0..self.config.sample_branches {
             let pc = pcs[i % pcs.len()];
-            let regular = rng.gen::<f64>() < behavior.regularity;
+            let regular = rng.gen::<f64>() < regularity;
             let taken = if regular {
                 // Deterministic Bresenham-style pattern with the requested
                 // taken ratio: highly predictable once learned.
-                phase += behavior.taken_ratio;
+                phase += taken_ratio;
                 if phase >= 1.0 {
                     phase -= 1.0;
                     true
@@ -337,7 +475,7 @@ impl ExecutionEngine {
                     false
                 }
             } else {
-                rng.gen::<f64>() < behavior.taken_ratio
+                rng.gen::<f64>() < taken_ratio
             };
             predictor.predict_and_update(pc, taken);
         }

@@ -24,7 +24,14 @@
 //! * [`pipeline`] — a CPI model that folds cache and branch penalties into
 //!   IPC;
 //! * [`engine`] — [`engine::ExecutionEngine`], which runs an `OpProfile`
-//!   through all of the above and emits a [`dmpb_metrics::MetricVector`].
+//!   through all of the above and emits a [`dmpb_metrics::MetricVector`]:
+//!   `run` is `derive(&simulate(profile), profile, threads)`, the cache
+//!   and branch simulations followed by the analytic pipeline, runtime
+//!   and bandwidth arithmetic;
+//! * [`memo`] — [`memo::SimMemo`], one tune's memo of simulation
+//!   outcomes keyed on exactly the inputs each simulator reads, so a
+//!   probe that repeats an earlier probe's cache or branch inputs only
+//!   redoes the arithmetic, with bit-identical results.
 //!
 //! Both the "real" workload models (`dmpb-workloads`) and the proxy
 //! benchmarks (`dmpb-core`) are measured by this same engine, mirroring the
@@ -39,9 +46,11 @@ pub mod branch;
 pub mod cache;
 pub mod engine;
 pub mod hierarchy;
+pub mod memo;
 pub mod pipeline;
 pub mod profile;
 
 pub use arch::{ArchProfile, NodeConfig};
 pub use engine::ExecutionEngine;
+pub use memo::SimMemo;
 pub use profile::{InstructionCounts, MemorySegment, OpProfile};

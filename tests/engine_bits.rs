@@ -8,9 +8,18 @@
 //! the engine — a cache-simulator rewrite, a reordered sum, a different
 //! sampling stream — must leave every bit in place or change this pin on
 //! purpose, together with `CODE_MODEL_VERSION`.
+//!
+//! A second digest pins the tune path on top of the engine: every
+//! workload tuned with the default [`AutoTuner`] on the five-node
+//! Westmere and the three-node Haswell cluster, folding the tuned
+//! metrics, every [`ProxyParameters`](data_motif_proxy::core::ProxyParameters)
+//! field, the convergence history and the iteration count.  A change to
+//! how a tune runs its probes (impact analysis, feedback loop, simulation
+//! memo) must leave every bit in place.
 
+use data_motif_proxy::core::autotune::AutoTuner;
 use data_motif_proxy::core::decompose::decompose;
-use data_motif_proxy::core::features::initial_parameters;
+use data_motif_proxy::core::features::{initial_parameters, FeatureSelection};
 use data_motif_proxy::core::ProxyBenchmark;
 use data_motif_proxy::metrics::MetricId;
 use data_motif_proxy::perfmodel::{ArchProfile, ExecutionEngine};
@@ -51,5 +60,55 @@ fn engine_output_bits_are_pinned() {
     assert_eq!(
         digest, ENGINE_BITS_PIN,
         "engine output bits changed: digest {digest:#018x}"
+    );
+}
+
+/// The digest of every tune's outcome on the inputs below.
+const TUNE_BITS_PIN: u64 = 0xd53b_6159_9e29_0786;
+
+#[test]
+fn tune_output_bits_are_pinned() {
+    let clusters = [
+        ClusterConfig::five_node_westmere(),
+        ClusterConfig::three_node_haswell(),
+    ];
+    let metrics = FeatureSelection::paper_default().metrics;
+    let tuner = AutoTuner::default();
+    let mut words = Vec::new();
+    for cluster in &clusters {
+        for kind in WorkloadKind::ALL {
+            let workload = workload_by_kind(kind);
+            let target = workload.measure(cluster);
+            let initial = ProxyBenchmark::from_decomposition(
+                &decompose(workload.as_ref()),
+                initial_parameters(workload.as_ref(), cluster),
+            );
+            let outcome = tuner.tune(initial, &target, &cluster.node.arch, &metrics);
+            words.extend(
+                MetricId::ALL
+                    .iter()
+                    .map(|&id| outcome.metrics.get(id).to_bits()),
+            );
+            let p = outcome.proxy.parameters();
+            words.extend([
+                p.data_size_bytes,
+                p.chunk_size_bytes,
+                u64::from(p.num_tasks),
+                p.weight_skew.to_bits(),
+                u64::from(p.batch_size),
+                u64::from(p.geometry.0),
+                u64::from(p.geometry.1),
+                u64::from(p.geometry.2),
+                p.framework_weight.to_bits(),
+                u64::from(p.spill_to_disk),
+            ]);
+            words.extend(outcome.history.iter().map(|a| a.to_bits()));
+            words.push(outcome.iterations as u64);
+        }
+    }
+    let digest = fnv(words);
+    assert_eq!(
+        digest, TUNE_BITS_PIN,
+        "tune output bits changed: digest {digest:#018x}"
     );
 }
