@@ -1,9 +1,10 @@
 //! Fig. 5: instruction mix breakdown, real vs proxy.
-use dmpb_bench::generate_suite;
+use dmpb_core::ProxySuite;
 use dmpb_metrics::table::{fmt_percent, TextTable};
+use dmpb_workloads::ClusterConfig;
 
 fn main() {
-    let suite = generate_suite();
+    let suite = ProxySuite::generate(ClusterConfig::five_node_westmere());
     let mut t = TextTable::new(
         "Fig. 5 — Instruction mix breakdown (real vs proxy)",
         &[

@@ -1,9 +1,10 @@
 //! Fig. 6: disk I/O bandwidth of real workloads vs proxies.
-use dmpb_bench::generate_suite;
+use dmpb_core::ProxySuite;
 use dmpb_metrics::table::TextTable;
+use dmpb_workloads::ClusterConfig;
 
 fn main() {
-    let suite = generate_suite();
+    let suite = ProxySuite::generate(ClusterConfig::five_node_westmere());
     let mut t = TextTable::new(
         "Fig. 6 — Disk I/O bandwidth (MB/s), real vs proxy",
         &["workload", "real", "proxy"],

@@ -14,12 +14,10 @@
 #![warn(missing_docs)]
 
 use dmpb_core::generator::GenerationReport;
-use dmpb_core::runner::SuiteRunner;
-use dmpb_core::ProxySuite;
 use dmpb_metrics::table::TextTable;
 use dmpb_metrics::MetricId;
 use dmpb_scenario::{CampaignReport, CampaignRunner, Scenario};
-use dmpb_workloads::{ClusterConfig, WorkloadKind};
+use dmpb_workloads::WorkloadKind;
 
 /// Paper-reported runtimes (seconds) on the five-node Westmere cluster
 /// (Table VI): `(real, proxy)` per workload.  The paper evaluates exactly
@@ -82,18 +80,6 @@ pub fn run_campaign(scenario: &Scenario) -> (CampaignRunner, CampaignReport) {
     let runner = CampaignRunner::new();
     let report = runner.run(scenario);
     (runner, report)
-}
-
-/// A parallel suite runner against the Section III cluster; reuse one
-/// runner across runs to benefit from the tuning cache.
-pub fn suite_runner() -> SuiteRunner {
-    SuiteRunner::new(ClusterConfig::five_node_westmere())
-}
-
-/// Generates the eight-proxy suite against the Section III cluster
-/// (through the parallel runner's reports-only path).
-pub fn generate_suite() -> ProxySuite {
-    ProxySuite::generate_parallel(ClusterConfig::five_node_westmere())
 }
 
 /// Formats a metric id with value for table cells.

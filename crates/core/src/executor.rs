@@ -48,8 +48,7 @@
 //! * per-edge checksums are folded in topological-index order after the
 //!   whole DAG completes.
 //!
-//! This is what lets the suite runner expose intra-proxy parallelism as a
-//! pure performance axis: `with_max_parallel(1)` and `with_max_parallel(8)`
+//! This is what makes intra-proxy parallelism a pure performance axis: `with_max_parallel(1)` and `with_max_parallel(8)`
 //! produce the same digest.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -114,8 +113,8 @@ pub struct DagExecutor {
 
 impl Default for DagExecutor {
     /// A serial executor (one branch at a time) — the right default when
-    /// an outer layer (e.g. the suite runner) already parallelises across
-    /// proxies.
+    /// an outer layer (e.g. the campaign runner) already parallelises
+    /// across proxies.
     fn default() -> Self {
         Self::new()
     }
@@ -173,11 +172,11 @@ impl DagExecutor {
     }
 
     /// Installs a shared persistent worker pool instead of the lazily
-    /// created private one — how a suite runner makes all eight proxies
+    /// created private one, so an executor and the caller driving it
     /// reuse one set of workers.  The buffer pool is re-sharded to match
     /// the installed pool's worker count (the shared pool may be wider
-    /// than this executor's own `max_parallel`, e.g. when the suite
-    /// runner also fans out across workloads on it).
+    /// than this executor's own `max_parallel`, e.g. when the caller also
+    /// fans out across proxies on it).
     pub fn with_worker_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool = BufferPool::with_shards(pool.workers() + 1);
         let slot = OnceLock::new();

@@ -35,6 +35,12 @@
 //! independent branches concurrently — through the motif-kernel registry,
 //! with per-edge derived seeds keeping digests byte-identical across
 //! thread counts.
+//!
+//! [`runner`] holds the per-cell building blocks the scenario campaign
+//! engine (`dmpb-scenario`) drives — the one path a proxy is tuned and
+//! executed by: a [`TuningCache`] that memoizes tunes across cells, and
+//! [`runner::ProxyRun::execute`], which runs a tuned proxy's DAG on a
+//! cell's sample size and seed.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -57,5 +63,5 @@ pub use executor::{DagExecution, DagExecutor};
 pub use generator::{GenerationReport, ProxyGenerator};
 pub use parameters::ProxyParameters;
 pub use proxy::ProxyBenchmark;
-pub use runner::{SuiteReport, SuiteRunner, TuningCache};
+pub use runner::TuningCache;
 pub use suite::ProxySuite;

@@ -4,7 +4,6 @@
 use dmpb_workloads::{ClusterConfig, WorkloadKind};
 
 use crate::generator::{GenerationReport, ProxyGenerator};
-use crate::runner::SuiteRunner;
 
 /// The generated proxy benchmarks — one per [`WorkloadKind`] (the
 /// paper's five plus Proxy Spark TeraSort / K-means / PageRank) — with
@@ -24,19 +23,6 @@ impl ProxySuite {
             .iter()
             .map(|&kind| generator.generate_kind(kind))
             .collect();
-        Self { reports }
-    }
-
-    /// Generates all eight proxies concurrently through a
-    /// [`SuiteRunner`]; equivalent to [`ProxySuite::generate`] but bounded
-    /// by the slowest single tune rather than the sum of all eight.
-    pub fn generate_parallel(cluster: ClusterConfig) -> Self {
-        Self::from_reports(SuiteRunner::new(cluster).tune_all())
-    }
-
-    /// Wraps pre-computed generation reports (e.g. a
-    /// [`crate::runner::SuiteReport`]'s).
-    pub fn from_reports(reports: Vec<GenerationReport>) -> Self {
         Self { reports }
     }
 
@@ -75,19 +61,6 @@ impl ProxySuite {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_generation_matches_serial_generation() {
-        let cluster = ClusterConfig::five_node_westmere();
-        let serial = ProxySuite::generate(cluster);
-        let parallel = ProxySuite::generate_parallel(cluster);
-        assert_eq!(serial.reports().len(), parallel.reports().len());
-        for (s, p) in serial.reports().iter().zip(parallel.reports()) {
-            assert_eq!(s.kind, p.kind);
-            assert_eq!(s.proxy.parameters(), p.proxy.parameters());
-            assert_eq!(s.proxy_metrics, p.proxy_metrics);
-        }
-    }
 
     #[test]
     fn suite_generates_all_eight_proxies_with_high_accuracy_and_speedup() {

@@ -14,7 +14,7 @@
 
 #![cfg(target_os = "linux")]
 
-use dmpb_core::runner::SuiteRunner;
+use dmpb_core::{DagExecutor, ProxyGenerator};
 use dmpb_workloads::{ClusterConfig, WorkloadKind};
 
 /// The process's peak resident set size in kilobytes, from
@@ -43,12 +43,14 @@ fn streamed_large_cell_peak_rss_is_bounded_by_the_chunk_budget() {
     // DAG edge.
     const CEILING_MB: u64 = 384;
 
-    let runner = SuiteRunner::new(ClusterConfig::five_node_westmere())
-        .with_intra_parallel(4)
+    let report = ProxyGenerator::new(ClusterConfig::five_node_westmere())
+        .generate_kind(WorkloadKind::TeraSort);
+    let executor = DagExecutor::new()
+        .with_max_parallel(4)
         .with_chunk_elements(Some(1 << 20));
-    let run = runner.run_cell(WorkloadKind::TeraSort, ELEMENTS, 42);
-    assert!(run.execution.kernels_run > 0);
-    assert_ne!(run.execution.checksum, 0, "execution must have done work");
+    let execution = report.proxy.execute_dag(&executor, ELEMENTS, 42);
+    assert!(execution.kernels_run() > 0);
+    assert_ne!(execution.checksum, 0, "execution must have done work");
 
     let hwm_kb = vm_hwm_kb();
     assert!(

@@ -1,7 +1,7 @@
 //! A persistent work-stealing worker pool shared by the whole harness.
 //!
 //! Before this module existed, every parallel site of the workspace —
-//! the suite runner's per-workload fan-out, the DAG executor's per-stage
+//! the suite's per-workload fan-out, the DAG executor's per-stage
 //! branches, [`crate::threading::map_chunks`]'s chunk map — spawned fresh
 //! scoped OS threads on every call.  At proxy-benchmark scale (kernels of
 //! microseconds, dozens of kernels per proxy, eight proxies per run) the

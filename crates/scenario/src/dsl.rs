@@ -90,8 +90,7 @@ use dmpb_workloads::{ClusterConfig, WorkloadKind};
 
 use crate::matrix::CellFilter;
 
-/// Default sample-execution size (matches the suite runner's
-/// `SAMPLE_ELEMENTS`).
+/// Default sample-execution size (`SAMPLE_ELEMENTS`).
 pub const DEFAULT_ELEMENTS: usize = dmpb_core::runner::SAMPLE_ELEMENTS;
 
 /// Architecture axis value meaning "the cluster's own processor".

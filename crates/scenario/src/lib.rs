@@ -14,8 +14,10 @@
 //!    sample sizes and seeds, plus include/exclude filters.
 //! 2. **Deterministic expansion** ([`matrix`]) — the axes expand to a
 //!    cartesian campaign matrix in a fixed order with per-cell seeds
-//!    derived exactly as the suite runner derives them, so a default
-//!    campaign reproduces [`SuiteRunner::run_all`] byte for byte.
+//!    derived from the base seed and the workload's position in
+//!    [`WorkloadKind::ALL`](dmpb_workloads::WorkloadKind::ALL), so the
+//!    default axes reproduce the paper's eight-proxy suite byte for
+//!    byte.
 //! 3. **A content-addressed result store** ([`store`]) — each cell is
 //!    fingerprinted (workload + stack + full cluster/tuning-cluster
 //!    configuration + scale + seed + [`CODE_MODEL_VERSION`]) with the
@@ -23,20 +25,17 @@
 //!    directory (`segment-<k>.jsonl` per `fingerprint % N` shard, plus
 //!    a sidecar index for replay-free warm opens) — and re-runs skip
 //!    every already-computed cell, byte-identically.
-//! 4. **A batch campaign runner** ([`runner`]) — cells are batched onto
-//!    one persistent work-stealing
-//!    [`WorkerPool`](dmpb_motifs::workers::WorkerPool) shared with the
-//!    per-cluster [`SuiteRunner`]s (and their tuning caches), so a
-//!    campaign tunes each (workload, tuning-cluster) pair once no matter
-//!    how many cells sweep it.
+//! 4. **A batch campaign runner** ([`runner`]) — the one path a proxy is
+//!    tuned and executed by.  Cells are batched onto one persistent
+//!    work-stealing [`WorkerPool`](dmpb_motifs::workers::WorkerPool),
+//!    and one [`TuningCache`](dmpb_core::TuningCache) keyed on the
+//!    tuning cluster means a runner tunes each (workload, tuning-cluster)
+//!    pair once no matter how many cells — or campaigns — sweep it.
 //!
 //! The paper-table binaries (`table6`, `fig4`, `fig10`, `table3`) are
 //! thin renderers over the built-in scenarios in [`builtin`]; the
 //! `campaign` binary runs any scenario file, diffs against stored
 //! baselines and gates on accuracy regressions.
-//!
-//! [`SuiteRunner`]: dmpb_core::runner::SuiteRunner
-//! [`SuiteRunner::run_all`]: dmpb_core::runner::SuiteRunner::run_all
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

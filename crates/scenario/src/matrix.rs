@@ -10,11 +10,11 @@
 //! re-runs.
 //!
 //! Each cell's sample-execution seed is *derived*, not taken verbatim:
-//! `derive_seed(base_seed, workload's position in WorkloadKind::ALL)` —
-//! exactly the derivation [`SuiteRunner::run_all`] uses — so a campaign
-//! over the default axes reproduces the legacy suite byte for byte.
-//!
-//! [`SuiteRunner::run_all`]: dmpb_core::runner::SuiteRunner::run_all
+//! `derive_seed(base_seed, workload's position in WorkloadKind::ALL)`.
+//! The derivation depends only on the workload, never on which other
+//! workloads the scenario sweeps, so every campaign over the default
+//! seed ([`DEFAULT_BASE_SEED`](dmpb_core::runner::DEFAULT_BASE_SEED))
+//! gives a workload the same sample as the paper-tables scenario.
 
 use dmpb_core::fnv::hash_bytes;
 use dmpb_core::runner::fingerprint_cluster;

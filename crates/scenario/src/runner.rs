@@ -2,11 +2,15 @@
 //! on the persistent work-stealing worker pool, short-circuiting through
 //! the content-addressed [`ResultStore`].
 //!
-//! Per-cluster tuning goes through one [`SuiteRunner`] per distinct
-//! tuning cluster, so the PR 4 tuning cache memoizes across cells (eight
-//! cells of one suite slice share eight tunes, a second seed axis value
-//! re-tunes nothing), and every runner shares the campaign's single
-//! [`WorkerPool`] — steady-state campaigns spawn no threads beyond it.
+//! This is the one path a proxy is tuned and executed by.  A cell that
+//! misses the store is tuned through the runner's single
+//! [`TuningCache`] — keyed on the tuning cluster, so eight cells of one
+//! suite slice share eight tunes, a second seed or element-count axis
+//! value re-tunes nothing, and a streamed campaign reuses a monolithic
+//! one's tunes — and its DAG runs on a serial [`DagExecutor`], one per
+//! streaming chunk setting.  Cells are the unit of parallelism: a wide
+//! campaign fans them out over one lazily built [`WorkerPool`], and a
+//! width-1 campaign runs them inline and builds no pool at all.
 //!
 //! Determinism: cells are executed with their pre-derived seeds and
 //! collected into their matrix positions, so the produced
@@ -14,18 +18,21 @@
 //! and a warm run (every cell served from the store) is byte-identical
 //! to the cold run that filled it.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use dmpb_core::fnv::hash_bytes;
-use dmpb_core::runner::{fingerprint_cluster, SuiteRunner};
-use dmpb_core::ProxyGenerator;
+use dmpb_core::runner::{ProxyRun, TuningKey};
+use dmpb_core::{DagExecutor, ProxyGenerator, TuningCache};
 use dmpb_metrics::table::{fmt_percent, fmt_speedup, TextTable};
 use dmpb_motifs::workers::WorkerPool;
 use dmpb_motifs::{KernelProfile, KernelProfiler};
 use dmpb_population::PopulationGenerator;
+use dmpb_workloads::{workload_by_kind, Workload};
 
 use crate::dsl::Scenario;
 use crate::matrix::{CampaignCell, PopulationPlan};
@@ -228,11 +235,6 @@ impl std::fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-/// Cache of tuned [`SuiteRunner`]s, keyed by cluster fingerprint and
-/// streaming chunk size — a streamed and a monolithic runner over the
-/// same cluster coexist without retuning each other away.
-type RunnerCache = Mutex<HashMap<(u64, Option<usize>), Arc<SuiteRunner>>>;
-
 /// Batch executor for scenario campaigns.
 pub struct CampaignRunner {
     version: u32,
@@ -241,7 +243,8 @@ pub struct CampaignRunner {
     profile_kernels: bool,
     store: Arc<ResultStore>,
     pool: OnceLock<Arc<WorkerPool>>,
-    runners: RunnerCache,
+    tunes: TuningCache,
+    executors: Mutex<HashMap<Option<usize>, Arc<DagExecutor>>>,
     observer: Option<CellObserver>,
 }
 
@@ -277,7 +280,8 @@ impl CampaignRunner {
             profile_kernels: false,
             store: Arc::new(store),
             pool: OnceLock::new(),
-            runners: Mutex::new(HashMap::new()),
+            tunes: TuningCache::new(),
+            executors: Mutex::new(HashMap::new()),
             observer: None,
         }
     }
@@ -361,38 +365,30 @@ impl CampaignRunner {
             .get_or_init(|| Arc::new(WorkerPool::new(width.max(self.workers).saturating_sub(1))))
     }
 
-    /// The tuning runner for a cell's tuning cluster, created on first
-    /// use and shared (with its tuning cache) by every cell that tunes
-    /// there.
-    fn cluster_runner(
-        &self,
-        cell: &CampaignCell,
-        chunk_elements: Option<usize>,
-    ) -> Arc<SuiteRunner> {
-        let cluster = cell.tuning_cluster();
-        let key = (fingerprint_cluster(&cluster), chunk_elements);
+    /// The serial executor for one streaming chunk setting, created on
+    /// first use.  It shares one buffer pool across every cell it runs
+    /// and, running each DAG on the calling thread, never builds a
+    /// worker pool.
+    fn executor(&self, chunk_elements: Option<usize>) -> Arc<DagExecutor> {
         // Recover a poisoned map instead of cascading the panic into
-        // every later cell: entries are only ever inserted whole.
-        let mut runners = self.runners.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(runners.entry(key).or_insert_with(|| {
-            Arc::new(
-                SuiteRunner::with_generator(ProxyGenerator::new(cluster))
-                    .with_intra_parallel(1)
-                    .with_chunk_elements(chunk_elements)
-                    .with_worker_pool(Arc::clone(self.pool(self.workers))),
-            )
-        }))
+        // every later campaign: entries are only ever inserted whole.
+        let mut executors = self
+            .executors
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(
+            executors.entry(chunk_elements).or_insert_with(|| {
+                Arc::new(DagExecutor::new().with_chunk_elements(chunk_elements))
+            }),
+        )
     }
 
     /// Executes one cell: store lookup first, then tune + execute +
     /// measure and store the result.  A panicking cell becomes an error
-    /// (via [`SuiteRunner::try_run_cell`]) instead of unwinding through
-    /// the pool into every sibling.
-    fn run_cell(
-        &self,
-        cell: &CampaignCell,
-        chunk_elements: Option<usize>,
-    ) -> Result<CellOutcome, String> {
+    /// naming the cell instead of unwinding through the pool into every
+    /// sibling; the tuning cache and the store recover from a mid-cell
+    /// panic by construction (both insert whole entries).
+    fn run_cell(&self, cell: &CampaignCell, executor: &DagExecutor) -> Result<CellOutcome, String> {
         let start = Instant::now();
         let fingerprint = cell.fingerprint(self.version);
         let outcome = match self.store.lookup(fingerprint) {
@@ -401,28 +397,8 @@ impl CampaignRunner {
                 cached: true,
             },
             None => {
-                let runner = self.cluster_runner(cell, chunk_elements);
-                let result = match &cell.population {
-                    Some(pop) => {
-                        // Re-synthesize the member from its spec + rank —
-                        // cheap, deterministic, and it keeps cells (which
-                        // cross thread and queue boundaries) plain data.
-                        let member = PopulationGenerator::new(pop.spec)
-                            .map_err(|e| format!("invalid population spec: {e}"))?
-                            .member(pop.rank);
-                        let run = runner.try_run_synthetic_cell(
-                            &member,
-                            pop.member_hash,
-                            cell.elements,
-                            cell.seed,
-                        )?;
-                        CellResult::compute_for(cell, &run, self.version, &member)
-                    }
-                    None => {
-                        let run = runner.try_run_cell(cell.kind, cell.elements, cell.seed)?;
-                        CellResult::compute(cell, &run, self.version)
-                    }
-                };
+                let result = catch_unwind(AssertUnwindSafe(|| self.compute(cell, executor)))
+                    .unwrap_or_else(|payload| Err(panic_failure(cell, payload.as_ref())))?;
                 debug_assert_eq!(result.fingerprint, fingerprint);
                 // A failed append already degraded the store to
                 // in-memory with a recorded warning; the result itself
@@ -438,6 +414,39 @@ impl CampaignRunner {
             observer(&outcome, start.elapsed());
         }
         Ok(outcome)
+    }
+
+    /// Tunes (or reuses the tune of) a cell's workload on its tuning
+    /// cluster, executes the proxy DAG on the cell's sample size and
+    /// seed, and measures the cell's result.
+    fn compute(&self, cell: &CampaignCell, executor: &DagExecutor) -> Result<CellResult, String> {
+        let generator = ProxyGenerator::new(cell.tuning_cluster());
+        let (key, workload): (_, Box<dyn Workload>) = match &cell.population {
+            Some(pop) => {
+                // Re-synthesize the member from its spec + rank — cheap,
+                // deterministic, and it keeps cells (which cross thread
+                // and queue boundaries) plain data.
+                let member = PopulationGenerator::new(pop.spec)
+                    .map_err(|e| format!("invalid population spec: {e}"))?
+                    .member(pop.rank);
+                let key = TuningKey::for_synthetic(member.kind(), &generator, pop.member_hash);
+                (key, Box::new(member))
+            }
+            None => (
+                TuningKey::new(cell.kind, &generator),
+                workload_by_kind(cell.kind),
+            ),
+        };
+        let report = self
+            .tunes
+            .get_or_tune(key, || generator.generate(workload.as_ref()));
+        let run = ProxyRun::execute(report, executor, cell.elements, cell.seed);
+        Ok(CellResult::compute_for(
+            cell,
+            &run,
+            self.version,
+            workload.as_ref(),
+        ))
     }
 
     /// Runs a whole campaign: expands the scenario and batches the cells
@@ -458,14 +467,15 @@ impl CampaignRunner {
             .workers
             .unwrap_or(self.workers)
             .clamp(1, cells.len().max(1));
-        let chunk_elements = scenario.chunk_elements.or(self.chunk_elements);
+        let executor = self.executor(scenario.chunk_elements.or(self.chunk_elements));
+        let executor = executor.as_ref();
 
         let slots: Vec<OnceLock<Result<CellOutcome, String>>> =
             cells.iter().map(|_| OnceLock::new()).collect();
         if requested <= 1 {
             for (slot, cell) in slots.iter().zip(&cells) {
                 assert!(
-                    slot.set(self.run_cell(cell, chunk_elements)).is_ok(),
+                    slot.set(self.run_cell(cell, executor)).is_ok(),
                     "campaign slot filled twice"
                 );
             }
@@ -488,7 +498,7 @@ impl CampaignRunner {
                         }
                         assert!(
                             slots[index]
-                                .set(self.run_cell(&cells[index], chunk_elements))
+                                .set(self.run_cell(&cells[index], executor))
                                 .is_ok(),
                             "campaign slot filled twice"
                         );
@@ -530,6 +540,28 @@ impl CampaignRunner {
     pub fn run(&self, scenario: &Scenario) -> CampaignReport {
         self.try_run(scenario).unwrap_or_else(|e| panic!("{e}"))
     }
+}
+
+/// The failure message of a cell whose computation panicked: the cell
+/// (workload kind, or member hash and carrier), its elements and seed,
+/// and the panic's message.
+fn panic_failure(cell: &CampaignCell, payload: &(dyn Any + Send)) -> String {
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("non-string panic payload");
+    let name = match &cell.population {
+        Some(pop) => format!(
+            "synthetic cell {:016x} (carrier {}, ",
+            pop.member_hash, cell.kind
+        ),
+        None => format!("cell {} (", cell.kind),
+    };
+    format!(
+        "{name}elements {}, seed {:016x}) panicked: {message}",
+        cell.elements, cell.seed
+    )
 }
 
 #[cfg(test)]
@@ -579,12 +611,67 @@ mod tests {
         let report = runner.run(&scenario);
         assert_eq!(report.cells().count(), 4);
         // 2 workloads × 2 seeds, but only 2 tunes: the second seed's
-        // cells reuse the per-cluster runner's tuning cache.
-        let runners = runner.runners.lock().unwrap();
-        assert_eq!(runners.len(), 1);
-        let stats = runners.values().next().unwrap().cache_stats();
+        // cells reuse the first seed's tunes.
+        let stats = runner.tunes.stats();
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.hits, 2);
+        assert_eq!(stats.entries, 2);
+    }
+
+    #[test]
+    fn streamed_and_monolithic_campaigns_share_tunes() {
+        let runner = CampaignRunner::new().with_workers(1);
+        let _ = runner.run(&small_scenario());
+        let misses = runner.tunes.stats().misses;
+        assert_eq!(misses, 2);
+
+        // A new seed misses the store, and chunking never changes a tune,
+        // so every cell reuses the monolithic campaign's tunes.
+        let mut streamed = small_scenario();
+        streamed.chunk_elements = Some(4096);
+        streamed.seeds = vec![99];
+        let report = runner.run(&streamed);
+        assert_eq!(report.cache_hits(), 0, "the new seed must miss the store");
+        assert_eq!(
+            runner.tunes.stats().misses,
+            misses,
+            "a streamed campaign re-tuned a workload"
+        );
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_with_a_message_naming_it() {
+        let mut scenario = small_scenario();
+        scenario.workloads.clear();
+        scenario.population = Some(dmpb_population::PopulationSpec {
+            size: 1,
+            ..Default::default()
+        });
+        let mut cell = scenario.expand().remove(0);
+        // Zero is the named workloads' reserved tuning discriminator, so
+        // keying this member's tune panics.
+        cell.population.as_mut().unwrap().member_hash = 0;
+
+        let runner = CampaignRunner::new();
+        let failure = runner
+            .run_cell(&cell, &DagExecutor::new())
+            .expect_err("the cell panics");
+        assert!(
+            failure.starts_with(&format!(
+                "synthetic cell 0000000000000000 (carrier {}, elements {}, seed {:016x}) panicked:",
+                cell.kind, cell.elements, cell.seed
+            )),
+            "{failure}"
+        );
+        assert!(
+            failure.contains("reserved for named workloads"),
+            "{failure}"
+        );
+        assert_eq!(
+            runner.store_stats().entries,
+            0,
+            "a failed cell stores nothing"
+        );
     }
 
     #[test]

@@ -1708,13 +1708,13 @@ pub fn read_store_records(path: &Path) -> Result<Vec<CellResult>, String> {
 mod tests {
     use super::*;
     use crate::dsl::Scenario;
-    use dmpb_core::runner::SuiteRunner;
+    use dmpb_core::{DagExecutor, ProxyGenerator};
     use dmpb_workloads::ClusterConfig;
 
     fn sample_result() -> CellResult {
         let cell = Scenario::with_defaults("store-test").expand()[0].clone();
-        let runner = SuiteRunner::new(ClusterConfig::five_node_westmere());
-        let run = runner.run_cell(cell.kind, cell.elements, cell.seed);
+        let report = ProxyGenerator::new(cell.tuning_cluster()).generate_kind(cell.kind);
+        let run = ProxyRun::execute(report, &DagExecutor::new(), cell.elements, cell.seed);
         CellResult::compute(&cell, &run, 1)
     }
 
@@ -1730,10 +1730,16 @@ mod tests {
         cells.extend(cross.expand());
         assert_eq!(cells.len(), 3);
 
-        let runner = SuiteRunner::new(ClusterConfig::five_node_westmere());
+        let generator = ProxyGenerator::new(ClusterConfig::five_node_westmere());
+        let report = generator.generate_kind(cells[0].kind);
         for cell in &cells {
-            assert_eq!(cell.tuning_cluster(), runner.generator().cluster);
-            let run = runner.run_cell(cell.kind, cell.elements, cell.seed);
+            assert_eq!(cell.tuning_cluster(), generator.cluster);
+            let run = ProxyRun::execute(
+                report.clone(),
+                &DagExecutor::new(),
+                cell.elements,
+                cell.seed,
+            );
             let result = CellResult::compute(cell, &run, 1);
             let cluster = cell.cluster();
             let real = workload_by_kind(cell.kind).measure(&cluster).runtime_secs;

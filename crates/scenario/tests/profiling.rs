@@ -11,7 +11,6 @@
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use dmpb_core::executor::DagExecutor;
-use dmpb_core::runner::SuiteRunner;
 use dmpb_core::ProxyGenerator;
 use dmpb_motifs::KernelProfiler;
 use dmpb_scenario::runner::CampaignRunner;
@@ -90,13 +89,8 @@ fn profiler_counters_account_for_every_executed_element() {
     let mut expected_elements = 0u64;
     let mut expected_invocations = 0u64;
     for cell in scenario.expand() {
-        let runner = SuiteRunner::with_generator(ProxyGenerator::new(cell.tuning_cluster()))
-            .with_intra_parallel(1);
-        let run = runner
-            .try_run_cell(cell.kind, cell.elements, cell.seed)
-            .expect("cell runs");
-        let execution = run
-            .report
+        let report = ProxyGenerator::new(cell.tuning_cluster()).generate_kind(cell.kind);
+        let execution = report
             .proxy
             .execute_dag(&DagExecutor::new(), cell.elements, cell.seed);
         expected_elements += execution.total_elements() as u64;

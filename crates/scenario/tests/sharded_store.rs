@@ -7,13 +7,14 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dmpb_core::runner::SuiteRunner;
+use dmpb_core::runner::ProxyRun;
+use dmpb_core::{DagExecutor, ProxyGenerator};
 use dmpb_motifs::workers::WorkerPool;
 use dmpb_scenario::{
     compact_sharded_store, read_records, read_store_records, segment_path, shard_for,
     CampaignRunner, CellResult, ResultStore, Scenario, DEFAULT_STORE_SHARDS, SIDECAR_FILE,
 };
-use dmpb_workloads::{ClusterConfig, WorkloadKind};
+use dmpb_workloads::WorkloadKind;
 use proptest::prelude::*;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -27,8 +28,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// fingerprint so the tests don't pay for hundreds of real runs.
 fn template_result() -> CellResult {
     let cell = Scenario::with_defaults("sharded").expand()[0].clone();
-    let runner = SuiteRunner::new(ClusterConfig::five_node_westmere());
-    let run = runner.run_cell(cell.kind, cell.elements, cell.seed);
+    let report = ProxyGenerator::new(cell.tuning_cluster()).generate_kind(cell.kind);
+    let run = ProxyRun::execute(report, &DagExecutor::new(), cell.elements, cell.seed);
     CellResult::compute(&cell, &run, 1)
 }
 

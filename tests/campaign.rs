@@ -1,20 +1,31 @@
 //! Campaign-engine gates: scenario expansion determinism, result-store
 //! byte-identity across cold/warm runs and worker counts, and the
-//! acceptance gate that the bundled paper-tables scenario reproduces
-//! the legacy Table VI suite sweep digest-for-digest.
+//! digest pins of the bundled paper-tables and cross-architecture
+//! scenarios.
 
-use data_motif_proxy::core::runner::{SuiteRunner, DEFAULT_BASE_SEED, SAMPLE_ELEMENTS};
+use data_motif_proxy::core::runner::{DEFAULT_BASE_SEED, SAMPLE_ELEMENTS};
 use data_motif_proxy::scenario::{
-    builtin, CampaignRunner, CellResult, ResultStore, Scenario, CODE_MODEL_VERSION,
+    builtin, CampaignRunner, ResultStore, Scenario, CODE_MODEL_VERSION,
 };
 use data_motif_proxy::workloads::{ClusterConfig, WorkloadKind};
 use proptest::prelude::*;
 
+/// `CampaignReport::digest` of `builtin::paper_tables()`: the eight
+/// proxies of Table VI on the five-node Westmere cluster.  Recorded when
+/// the campaign still matched the eight-proxy suite sweep byte for
+/// byte; it moves only with a `CODE_MODEL_VERSION` bump.
+const PAPER_TABLES_DIGEST: u64 = 0x1da1_690a_015f_d045;
+
+/// `CampaignReport::digest` of `builtin::cross_architecture()`: the
+/// Fig. 10 cells, tuned on the five-node cluster and measured on
+/// Westmere and Haswell.  Moves only with a `CODE_MODEL_VERSION` bump.
+const CROSS_ARCHITECTURE_DIGEST: u64 = 0x32a0_a3e7_89b4_7ba3;
+
 /// The acceptance gate: running the committed
 /// `examples/scenarios/paper_tables.toml` through the campaign engine
-/// yields cells byte-identical to the legacy `table6` path (a
-/// `SuiteRunner::run_all` on the five-node Westmere cluster), and a warm
-/// re-run is served ≥ 90 % from the result store.
+/// yields the pinned digest whether its cells run one at a time or
+/// eight at a time, and a warm re-run is served ≥ 90 % from the result
+/// store.
 #[test]
 fn paper_tables_scenario_reproduces_the_legacy_table6_sweep() {
     let file = std::fs::read_to_string(concat!(
@@ -29,41 +40,22 @@ fn paper_tables_scenario_reproduces_the_legacy_table6_sweep() {
         "the committed file and the embedded builtin must be one source"
     );
 
-    let campaign_runner = CampaignRunner::new();
+    let serial = CampaignRunner::new().with_workers(1).run(&scenario);
+    let campaign_runner = CampaignRunner::new().with_workers(8);
     let campaign = campaign_runner.run(&scenario);
-
-    // The legacy path: the parallel suite runner with its defaults, as
-    // the pre-campaign table6 binary drove it.
-    let legacy_runner = SuiteRunner::new(ClusterConfig::five_node_westmere());
-    let legacy = legacy_runner.run_all();
-
-    let cells = scenario.expand();
     assert_eq!(campaign.outcomes.len(), 8);
-    for (cell, outcome) in cells.iter().zip(&campaign.outcomes) {
-        let slice = legacy.run(cell.kind);
-        // Same derived seeds, same kernel executions, byte-identical
-        // serialized cells.
-        assert_eq!(outcome.result.seed, slice.seed, "{}", cell.kind);
-        assert_eq!(
-            outcome.result.checksum, slice.execution.checksum,
-            "{}",
-            cell.kind
-        );
-        assert_eq!(
-            outcome.result.kernels_run, slice.execution.kernels_run,
-            "{}",
-            cell.kind
-        );
-        let from_legacy = CellResult::compute(cell, slice, CODE_MODEL_VERSION);
-        assert_eq!(from_legacy, outcome.result, "{}", cell.kind);
-        assert_eq!(
-            from_legacy.to_line(),
-            outcome.result.to_line(),
-            "{}: serialized cells must be byte-identical",
-            cell.kind
-        );
-        assert_eq!(from_legacy.digest(), outcome.result.digest());
-    }
+    assert_eq!(
+        serial.digest(),
+        PAPER_TABLES_DIGEST,
+        "paper-tables digest moved at width 1:\n{}",
+        serial.to_lines()
+    );
+    assert_eq!(
+        campaign.digest(),
+        PAPER_TABLES_DIGEST,
+        "paper-tables digest moved at width 8:\n{}",
+        campaign.to_lines()
+    );
 
     // Warm re-run: ≥ 90 % (here: all) of the cells come from the store,
     // with an unchanged campaign digest.
@@ -75,6 +67,20 @@ fn paper_tables_scenario_reproduces_the_legacy_table6_sweep() {
     );
     assert_eq!(warm.digest(), campaign.digest());
     assert_eq!(warm.to_lines(), campaign.to_lines());
+}
+
+/// The cross-architecture scenario (proxies tuned on one cluster,
+/// measured on another on two processors) reproduces its pinned digest.
+#[test]
+fn cross_architecture_scenario_matches_its_pinned_digest() {
+    let report = CampaignRunner::new().run(&builtin::cross_architecture());
+    assert_eq!(report.outcomes.len(), 16);
+    assert_eq!(
+        report.digest(),
+        CROSS_ARCHITECTURE_DIGEST,
+        "cross-architecture digest moved:\n{}",
+        report.to_lines()
+    );
 }
 
 /// Cold runs at 1 and 8 workers and a disk-served warm run must produce
@@ -112,26 +118,6 @@ fn store_served_cells_are_byte_identical_across_1_and_8_workers() {
     assert_eq!(warm.digest(), cold_serial.digest());
 
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The campaign engine slice of a default scenario matches the legacy
-/// suite under a non-default base seed too (the seed axis derives per
-/// cell exactly as the runner derives per workload).
-#[test]
-fn seed_axis_matches_suite_runner_derivation() {
-    let mut scenario = Scenario::with_defaults("seeded");
-    scenario.workloads = vec![WorkloadKind::KMeans, WorkloadKind::SparkTeraSort];
-    scenario.seeds = vec![777];
-    let report = CampaignRunner::new().run(&scenario);
-
-    let legacy = SuiteRunner::new(ClusterConfig::five_node_westmere())
-        .with_base_seed(777)
-        .run_all();
-    for cell in report.cells() {
-        let slice = legacy.run(cell.workload);
-        assert_eq!(cell.seed, slice.seed, "{}", cell.workload);
-        assert_eq!(cell.checksum, slice.execution.checksum, "{}", cell.workload);
-    }
 }
 
 fn scenario_from_draw(

@@ -12,65 +12,69 @@
 //! * IPC deviation ≤ 15 % between each proxy and its real workload;
 //! * runtime speedup ≥ 100x for every proxy (Table VI shows 136x–743x);
 //! * suite-level average metric accuracy, as a regression floor;
-//! * determinism: derived per-proxy seeds and the eight-entry
-//!   [`SuiteReport`](data_motif_proxy::core::SuiteReport) digest are
-//!   stable run to run and independent of worker scheduling.
+//! * determinism: derived per-proxy seeds are stable and distinct, the
+//!   paper-tables campaign keeps its pinned digest, and that campaign,
+//!   which tunes its eight cells concurrently, reproduces every tune of
+//!   the serial suite.
 //!
 //! CI runs this file in release mode as the **accuracy gate**: a model or
 //! tuner change that pushes any of the eight workloads past the deviation
 //! or speedup floors fails the build.
 //!
 //! Tuning all eight proxies is the expensive step, so the file tunes two
-//! independent suites once (a parallel one and a single-worker one) and
-//! asserts everything against those.
+//! independent suites once (the serial [`ProxySuite::generate`] and the
+//! paper-tables campaign at its default width) and asserts everything
+//! against those.
 
 use std::sync::OnceLock;
 
-use data_motif_proxy::core::runner::{SuiteReport, SuiteRunner};
+use data_motif_proxy::core::runner::DEFAULT_BASE_SEED;
+use data_motif_proxy::core::ProxySuite;
+use data_motif_proxy::datagen::rng::derive_seed;
 use data_motif_proxy::metrics::MetricId;
+use data_motif_proxy::scenario::{builtin, CampaignReport, CampaignRunner};
 use data_motif_proxy::workloads::{ClusterConfig, Framework, WorkloadKind};
 
-/// The suite tuned with the default (fully parallel) runner.
-fn parallel_suite() -> &'static SuiteReport {
-    static SUITE: OnceLock<SuiteReport> = OnceLock::new();
-    SUITE.get_or_init(|| SuiteRunner::new(ClusterConfig::five_node_westmere()).run_all())
+/// The paper-tables campaign digest, as pinned in `tests/campaign.rs`.
+const PAPER_TABLES_DIGEST: u64 = 0x1da1_690a_015f_d045;
+
+/// The eight proxies tuned one after another.
+fn suite() -> &'static ProxySuite {
+    static SUITE: OnceLock<ProxySuite> = OnceLock::new();
+    SUITE.get_or_init(|| ProxySuite::generate(ClusterConfig::five_node_westmere()))
 }
 
-/// The same suite tuned by an independent single-worker runner.
-fn serial_suite() -> &'static SuiteReport {
-    static SUITE: OnceLock<SuiteReport> = OnceLock::new();
-    SUITE.get_or_init(|| {
-        SuiteRunner::new(ClusterConfig::five_node_westmere())
-            .with_max_parallel(1)
-            .run_all()
-    })
+/// The same eight workloads tuned and executed as the cells of the
+/// paper-tables campaign, several at a time.
+fn campaign() -> &'static CampaignReport {
+    static CAMPAIGN: OnceLock<CampaignReport> = OnceLock::new();
+    CAMPAIGN.get_or_init(|| CampaignRunner::new().run(&builtin::paper_tables()))
 }
 
 #[test]
 fn proxies_match_real_runtime_behaviour_on_westmere() {
-    let suite = parallel_suite();
+    let suite = suite();
     assert_eq!(
-        suite.runs.len(),
+        suite.reports().len(),
         8,
         "the suite must cover all eight workloads"
     );
 
-    for run in &suite.runs {
-        let report = &run.report;
+    for report in suite.reports() {
         let real_ipc = report.real_metrics.get(MetricId::Ipc);
         let proxy_ipc = report.proxy_metrics.get(MetricId::Ipc);
         let deviation = (proxy_ipc - real_ipc).abs() / real_ipc;
         assert!(
             deviation <= 0.15,
             "{}: IPC deviation {:.1}% exceeds 15% (real {real_ipc:.3}, proxy {proxy_ipc:.3})",
-            run.kind,
+            report.kind,
             deviation * 100.0
         );
 
         assert!(
             report.speedup >= 100.0,
             "{}: speedup {:.0}x is below the Table VI ~100x floor",
-            run.kind,
+            report.kind,
             report.speedup
         );
 
@@ -81,7 +85,7 @@ fn proxies_match_real_runtime_behaviour_on_westmere() {
         assert!(
             report.accuracy.average() >= 0.60,
             "{}: average accuracy {:.1}% fell below the pinned floor",
-            run.kind,
+            report.kind,
             report.accuracy.average() * 100.0
         );
     }
@@ -96,7 +100,7 @@ fn proxies_match_real_runtime_behaviour_on_westmere() {
 
 #[test]
 fn spark_twins_share_the_motif_dag_but_not_the_stack_behaviour() {
-    let suite = parallel_suite();
+    let suite = suite();
     for kind in WorkloadKind::ALL {
         let Some(twin) = kind.stack_twin() else {
             continue;
@@ -104,8 +108,8 @@ fn spark_twins_share_the_motif_dag_but_not_the_stack_behaviour() {
         if kind.framework() != Framework::Hadoop {
             continue; // visit each pair once, from the Hadoop side
         }
-        let hadoop = &suite.run(kind).report;
-        let spark = &suite.run(twin).report;
+        let hadoop = suite.report(kind);
+        let spark = suite.report(twin);
         // Same decomposition: identical motif components and class ratios.
         assert_eq!(
             hadoop.decomposition.components, spark.decomposition.components,
@@ -126,34 +130,53 @@ fn spark_twins_share_the_motif_dag_but_not_the_stack_behaviour() {
 
 #[test]
 fn derived_seeds_are_deterministic_and_distinct_across_all_eight() {
-    let seeds_a: Vec<u64> = parallel_suite().runs.iter().map(|r| r.seed).collect();
-    let seeds_b: Vec<u64> = serial_suite().runs.iter().map(|r| r.seed).collect();
-    assert_eq!(seeds_a, seeds_b, "derived seeds must be deterministic");
-    assert_eq!(seeds_a.len(), 8);
+    let cells: Vec<_> = campaign().cells().collect();
+    assert_eq!(cells.len(), 8);
+    let seeds: Vec<u64> = cells.iter().map(|c| c.seed).collect();
+    let derived: Vec<u64> = (0..8).map(|i| derive_seed(DEFAULT_BASE_SEED, i)).collect();
+    assert_eq!(seeds, derived, "derived seeds must be deterministic");
 
-    let mut unique = seeds_a.clone();
+    let mut unique = seeds.clone();
     unique.sort_unstable();
     unique.dedup();
     assert_eq!(unique.len(), 8, "every workload gets its own derived seed");
 
     // The three Spark workloads occupy positions 5..8 of the suite order
     // and their sample executions run real kernels like everyone else's.
-    for run in &parallel_suite().runs[5..] {
-        assert_eq!(run.kind.framework(), Framework::Spark, "{}", run.kind);
-        assert!(run.execution.kernels_run > 0, "{}", run.kind);
+    for cell in &cells[5..] {
+        assert_eq!(cell.framework, Framework::Spark, "{}", cell.workload);
+        assert!(cell.kernels_run > 0, "{}", cell.workload);
     }
 }
 
 #[test]
 fn eight_entry_suite_digest_is_stable_across_runs_and_worker_counts() {
-    let parallel = parallel_suite();
-    let serial = serial_suite();
-    assert_eq!(parallel.runs.len(), 8);
     assert_eq!(
-        parallel.digest(),
-        serial.digest(),
-        "the eight-entry report digest must not depend on scheduling"
+        campaign().digest(),
+        PAPER_TABLES_DIGEST,
+        "the eight-entry campaign digest moved"
     );
-    let kinds: Vec<WorkloadKind> = parallel.runs.iter().map(|r| r.kind).collect();
+    let cells: Vec<_> = campaign().cells().collect();
+    let kinds: Vec<WorkloadKind> = cells.iter().map(|c| c.workload).collect();
     assert_eq!(kinds, WorkloadKind::ALL.to_vec());
+    // The campaign tunes its cells concurrently on its worker pool; the
+    // suite tunes them one after another.  Every tune must agree bit for
+    // bit: tuning does not depend on scheduling.
+    for (cell, report) in cells.iter().zip(suite().reports()) {
+        assert_eq!(cell.workload, report.kind);
+        assert_eq!(
+            cell.accuracy_avg.to_bits(),
+            report.accuracy.average().to_bits(),
+            "{}",
+            cell.workload
+        );
+        assert_eq!(
+            cell.speedup.to_bits(),
+            report.speedup.to_bits(),
+            "{}",
+            cell.workload
+        );
+        assert_eq!(cell.iterations, report.iterations, "{}", cell.workload);
+        assert_eq!(cell.qualified, report.qualified, "{}", cell.workload);
+    }
 }

@@ -1,52 +1,76 @@
-//! The no-spawn-in-steady-state gate: after a suite runner's pools are
-//! constructed, repeated suite runs must not spawn a single thread — the
-//! whole point of the persistent work-stealing pool is that workers are
-//! created once and reused across every proxy of every run.
+//! The no-spawn gate: a width-1 campaign runs its cells inline and
+//! builds no worker pool, and once a wider campaign has built its pool,
+//! later campaigns on the same runner must not spawn a single thread —
+//! the whole point of the persistent work-stealing pool is that workers
+//! are created once and reused across every cell of every campaign.
 //!
 //! This lives in its own integration-test binary with one `#[test]` so
 //! the process-wide [`WorkerPool::total_threads_spawned`] counter cannot
 //! be perturbed by unrelated tests creating pools concurrently.
 
-use std::sync::Arc;
-
-use data_motif_proxy::core::runner::SuiteRunner;
+use data_motif_proxy::core::runner::DEFAULT_BASE_SEED;
 use data_motif_proxy::motifs::workers::WorkerPool;
-use data_motif_proxy::workloads::ClusterConfig;
+use data_motif_proxy::scenario::{CampaignRunner, Scenario};
+use data_motif_proxy::workloads::WorkloadKind;
 
 #[test]
 fn steady_state_suite_runs_spawn_no_threads() {
-    let runner = SuiteRunner::new(ClusterConfig::five_node_westmere())
-        .with_max_parallel(4)
-        .with_intra_parallel(4);
+    // The process-global pool (chunked motif kernels share it) is built
+    // up front, so only campaign pools are counted below.
+    let _ = WorkerPool::global();
+    let before = WorkerPool::total_threads_spawned();
 
-    // The first run constructs the runner's pool (and, lazily, the global
-    // pool used by chunked motif kernels) and warms the tuning cache.
-    let first = runner.run_all();
-    let pool = Arc::clone(runner.worker_pool());
-    let spawned_after_first = WorkerPool::total_threads_spawned();
+    // `[executor] workers = 1` on a default-width runner: cells run on
+    // the calling thread.
+    let mut serial = Scenario::with_defaults("steady-state-serial");
+    serial.workloads = vec![WorkloadKind::TeraSort, WorkloadKind::AlexNet];
+    serial.workers = Some(1);
+    let report = CampaignRunner::new().run(&serial);
+    assert_eq!(report.outcomes.len(), 2);
     assert_eq!(
-        pool.workers(),
-        3,
-        "max(inter, intra) - 1 workers: the calling thread participates"
+        WorkerPool::total_threads_spawned(),
+        before,
+        "a width-1 campaign built a worker pool"
     );
 
-    for _ in 0..3 {
-        let again = runner.run_all();
-        assert_eq!(
-            first.digest(),
-            again.digest(),
-            "steady-state runs must be byte-identical"
-        );
+    // The first width-4 campaign builds the runner's pool and fills its
+    // tuning cache.
+    let runner = CampaignRunner::new().with_workers(4);
+    let mut scenario = Scenario::with_defaults("steady-state");
+    scenario.workloads = vec![
+        WorkloadKind::TeraSort,
+        WorkloadKind::KMeans,
+        WorkloadKind::AlexNet,
+        WorkloadKind::SparkPageRank,
+    ];
+    let first = runner.run(&scenario);
+    let spawned_after_first = WorkerPool::total_threads_spawned();
+    assert_eq!(
+        spawned_after_first - before,
+        3,
+        "width - 1 workers: the calling thread participates"
+    );
+
+    // Fresh seeds each round: every cell misses the store and executes,
+    // but reuses its workload's tune.
+    for round in 1..=3 {
+        scenario.seeds = vec![DEFAULT_BASE_SEED + round];
+        let again = runner.run(&scenario);
+        assert_eq!(again.cache_hits(), 0, "a fresh seed must miss the store");
+        for (cell, first_cell) in again.cells().zip(first.cells()) {
+            assert_ne!(cell.seed, first_cell.seed, "{}", cell.workload);
+            assert_eq!(
+                cell.accuracy_avg.to_bits(),
+                first_cell.accuracy_avg.to_bits(),
+                "{}: the seed axis must not change the tune",
+                cell.workload
+            );
+        }
     }
 
     assert_eq!(
         WorkerPool::total_threads_spawned(),
         spawned_after_first,
-        "steady-state suite execution spawned a thread"
+        "steady-state campaign execution spawned a thread"
     );
-    assert!(
-        Arc::ptr_eq(&pool, runner.worker_pool()),
-        "the runner must keep reusing the same pool"
-    );
-    assert_eq!(pool.workers(), 3, "worker count must stay constant");
 }
