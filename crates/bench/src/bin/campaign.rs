@@ -52,11 +52,8 @@
 //! 2 usage / file / parse errors.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use dmpb_motifs::workers::WorkerPool;
 use dmpb_population::{PopulationGenerator, TopologyFamily};
-use dmpb_scenario::runner::DEFAULT_WORKERS;
 use dmpb_scenario::{
     compact_sharded_store, read_records, CampaignRunner, ResultStore, Scenario,
     DEFAULT_STORE_SHARDS,
@@ -332,22 +329,13 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // The campaign's worker pool doubles as the store's open-time
-    // segment scanner, so the process runs one thread fleet (the
-    // calling thread participates: width − 1 pool threads).
-    let pool = Arc::new(WorkerPool::new(
-        options
-            .workers
-            .unwrap_or(DEFAULT_WORKERS)
-            .max(1)
-            .saturating_sub(1),
-    ));
+    // No pool is built here: the runner builds its cell pool on the
+    // first campaign wider than one cell.
     let store = match &options.store {
         None => ResultStore::in_memory(),
-        Some(path) => match ResultStore::open_sharded_with_pool(
+        Some(path) => match ResultStore::open_sharded(
             path,
             options.store_shards.unwrap_or(DEFAULT_STORE_SHARDS),
-            Some(&pool),
         ) {
             Ok(store) => store,
             Err(e) => {
@@ -357,7 +345,7 @@ fn main() -> ExitCode {
         },
     };
     let preloaded = store.stats().entries;
-    let mut runner = CampaignRunner::with_store(store).with_worker_pool(pool);
+    let mut runner = CampaignRunner::with_store(store);
     if let Some(workers) = options.workers {
         runner = runner.with_workers(workers);
     }

@@ -3,9 +3,9 @@
 //! One binary per table / figure of the paper's evaluation, each named
 //! after what it renders (`table6_execution_time`, `fig4_accuracy`, …),
 //! plus the `campaign` driver.  This library holds the shared plumbing: the
-//! scenario-campaign path the paper-table binaries render from, table
-//! rendering, and the paper's reference numbers so every binary prints
-//! "paper vs. measured" side by side.
+//! scenario-campaign path the paper-table binaries render from and the
+//! paper's reference numbers, so every binary prints "paper vs.
+//! measured" side by side.
 //!
 //! The sweep loops themselves live in `dmpb_scenario` — a paper-table
 //! binary declares *which* built-in scenario it renders and how to format
@@ -13,9 +13,6 @@
 
 #![warn(missing_docs)]
 
-use dmpb_core::generator::GenerationReport;
-use dmpb_metrics::table::TextTable;
-use dmpb_metrics::MetricId;
 use dmpb_scenario::{CampaignReport, CampaignRunner, Scenario};
 use dmpb_workloads::WorkloadKind;
 
@@ -80,23 +77,6 @@ pub fn run_campaign(scenario: &Scenario) -> (CampaignRunner, CampaignReport) {
     let runner = CampaignRunner::new();
     let report = runner.run(scenario);
     (runner, report)
-}
-
-/// Formats a metric id with value for table cells.
-pub fn fmt_metric(report: &GenerationReport, id: MetricId) -> (String, String, String) {
-    let real = report.real_metrics.get(id);
-    let proxy = report.proxy_metrics.get(id);
-    let acc = report.accuracy.get(id).unwrap_or(1.0);
-    (
-        format!("{real:.3}"),
-        format!("{proxy:.3}"),
-        format!("{:.1}%", acc * 100.0),
-    )
-}
-
-/// Renders and prints a table.
-pub fn print_table(table: &TextTable) {
-    println!("{}", table.render());
 }
 
 /// The paper value lookup helper (`NaN` for workloads the paper does not

@@ -7,10 +7,9 @@
 //! The graph accepts **arbitrary acyclic topologies** — forks (one data
 //! set feeding several motifs), joins (several motifs producing one data
 //! set) and diamonds — not just forward chains.  Acyclicity is enforced at
-//! [`ProxyDag::add_edge`] time by a reachability check, and scheduling
-//! questions (topological order, parallel stages) are answered by Kahn's
-//! algorithm with a deterministic smallest-id tie-break, so every derived
-//! order is stable run to run.
+//! [`ProxyDag::add_edge`] time by a reachability check, and the execution
+//! order is derived by Kahn's algorithm with a deterministic smallest-id
+//! tie-break, so it is stable run to run.
 
 use dmpb_datagen::DataDescriptor;
 use dmpb_motifs::MotifKind;
@@ -46,71 +45,6 @@ pub struct MotifEdge {
 pub struct ProxyDag {
     nodes: Vec<DataNode>,
     edges: Vec<MotifEdge>,
-}
-
-/// A computed execution schedule: the edges in deterministic topological
-/// order *and* the stage partition over those same indices, derived
-/// together by [`ProxyDag::schedule`] so the two views can never drift
-/// apart.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DagSchedule {
-    /// Edges in deterministic topological order.
-    pub edges: Vec<MotifEdge>,
-    /// `stages[k]` holds the indices into [`DagSchedule::edges`] of the
-    /// edges whose source node sits at depth `k`.  All edges of one stage
-    /// are mutually independent (their inputs were fully produced by
-    /// earlier stages), so they may execute concurrently; stages execute
-    /// in order.
-    pub stages: Vec<Vec<usize>>,
-}
-
-/// The barrier-free readiness view of a [`DagSchedule`]: per-edge
-/// predecessor countdowns plus successor lists, the inputs of the
-/// dependency-counting executor.
-///
-/// An edge is runnable the instant every edge *into its source node* has
-/// completed — not when the whole previous stage has (the stage view
-/// over-synchronises: a slow branch in stage `k` has no bearing on a
-/// stage-`k+1` edge hanging off a different, already finished branch).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EdgeReadiness {
-    /// `pending[i]` = number of edges that must complete before edge `i`
-    /// may run (the in-degree of edge `i`'s source node).
-    pub pending: Vec<usize>,
-    /// `successors[i]` = indices of the edges leaving edge `i`'s target
-    /// node; each gets its countdown decremented when edge `i` completes.
-    pub successors: Vec<Vec<usize>>,
-    /// Edges with no predecessors (countdown already zero), runnable
-    /// immediately.
-    pub initial: Vec<usize>,
-}
-
-impl DagSchedule {
-    /// Derives the dependency-counting readiness structure over this
-    /// schedule's edge indices (see [`EdgeReadiness`]).
-    pub fn readiness(&self) -> EdgeReadiness {
-        let num_nodes = self
-            .edges
-            .iter()
-            .map(|e| e.from.max(e.to) + 1)
-            .max()
-            .unwrap_or(0);
-        let mut in_degree = vec![0usize; num_nodes];
-        let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
-        for (index, edge) in self.edges.iter().enumerate() {
-            in_degree[edge.to] += 1;
-            out_edges[edge.from].push(index);
-        }
-        let pending: Vec<usize> = self.edges.iter().map(|e| in_degree[e.from]).collect();
-        let successors: Vec<Vec<usize>> =
-            self.edges.iter().map(|e| out_edges[e.to].clone()).collect();
-        let initial = (0..self.edges.len()).filter(|&i| pending[i] == 0).collect();
-        EdgeReadiness {
-            pending,
-            successors,
-            initial,
-        }
-    }
 }
 
 impl ProxyDag {
@@ -227,50 +161,17 @@ impl ProxyDag {
 
     /// Edges in a deterministic topological (execution) order: sorted by
     /// the topological position of their source, then of their target,
-    /// then insertion order.  (The topologically indexed view of
-    /// [`ProxyDag::schedule`].)
+    /// then insertion order.  Every edge into a node sorts before every
+    /// edge out of it, and an edge's index in this order derives its
+    /// execution seed.
     pub fn topological_edges(&self) -> Vec<MotifEdge> {
-        self.schedule().edges
-    }
-
-    /// Depth of every node: 0 for sources, otherwise one more than the
-    /// deepest predecessor.  Edges scheduled at the depth of their source
-    /// form the executor's parallel stages.
-    pub fn node_depths(&self) -> Vec<usize> {
-        let mut depth = vec![0usize; self.nodes.len()];
-        for &node in &self.topological_order() {
-            for edge in self.edges.iter().filter(|e| e.to == node) {
-                depth[node] = depth[node].max(depth[edge.from] + 1);
-            }
-        }
-        depth
-    }
-
-    /// Computes the execution schedule: the topologically ordered edges
-    /// and the stage partition over those indices, in one derivation (see
-    /// [`DagSchedule`]).
-    pub fn schedule(&self) -> DagSchedule {
-        let order = self.topological_order();
         let mut position = vec![0usize; self.nodes.len()];
-        for (pos, &node) in order.iter().enumerate() {
+        for (pos, node) in self.topological_order().into_iter().enumerate() {
             position[node] = pos;
         }
         let mut indexed: Vec<(usize, &MotifEdge)> = self.edges.iter().enumerate().collect();
         indexed.sort_by_key(|(i, e)| (position[e.from], position[e.to], *i));
-        let edges: Vec<MotifEdge> = indexed.into_iter().map(|(_, e)| *e).collect();
-
-        let depth = self.node_depths();
-        let num_stages = edges.iter().map(|e| depth[e.from] + 1).max().unwrap_or(0);
-        let mut stages = vec![Vec::new(); num_stages];
-        for (index, edge) in edges.iter().enumerate() {
-            stages[depth[edge.from]].push(index);
-        }
-        DagSchedule { edges, stages }
-    }
-
-    /// The stage partition of [`ProxyDag::schedule`].
-    pub fn stages(&self) -> Vec<Vec<usize>> {
-        self.schedule().stages
+        indexed.into_iter().map(|(_, e)| *e).collect()
     }
 
     /// Largest number of edges leaving one node (≥ 2 means a fork).
@@ -368,52 +269,39 @@ mod tests {
     }
 
     #[test]
-    fn diamond_topology_is_accepted_and_staged() {
+    fn diamond_topology_is_accepted_and_ordered() {
         let dag = diamond_dag();
         assert!(dag.is_branching());
         assert_eq!(dag.max_out_degree(), 2, "input forks");
         assert_eq!(dag.max_in_degree(), 2, "out joins");
-        let stages = dag.stages();
-        assert_eq!(stages.len(), 2);
-        assert_eq!(stages[0].len(), 2, "both fork edges run in stage 0");
-        assert_eq!(stages[1].len(), 2, "both join edges run in stage 1");
-        assert_eq!(dag.node_depths(), vec![0, 1, 1, 2]);
-    }
-
-    #[test]
-    fn diamond_readiness_counts_predecessors_per_edge() {
-        let schedule = diamond_dag().schedule();
-        let readiness = schedule.readiness();
-        // Fork edges are immediately runnable; each join edge waits for
-        // exactly the one edge into its source node.
-        assert_eq!(readiness.pending, vec![0, 0, 1, 1]);
-        assert_eq!(readiness.initial, vec![0, 1]);
-        assert_eq!(readiness.successors, vec![vec![2], vec![3], vec![], vec![]]);
+        let order: Vec<(NodeId, NodeId)> = dag
+            .topological_edges()
+            .iter()
+            .map(|e| (e.from, e.to))
+            .collect();
+        assert_eq!(order, vec![(0, 1), (0, 2), (1, 3), (2, 3)]);
     }
 
     #[test]
     fn join_edges_wait_for_every_predecessor() {
-        // Two parallel edges into one node, one edge out: the out edge's
-        // countdown must be 2, decremented once per completing in-edge.
+        // Two parallel edges into one node, one edge out, declared out
+        // edge first: the out edge still runs after both in-edges.
         let mut dag = ProxyDag::new();
         let a = dag.add_node("a", descriptor());
         let b = dag.add_node("b", descriptor());
         let c = dag.add_node("c", descriptor());
+        dag.add_edge(b, c, MotifKind::MinMax, 0.2);
         dag.add_edge(a, b, MotifKind::QuickSort, 0.4);
         dag.add_edge(a, b, MotifKind::MergeSort, 0.4);
-        dag.add_edge(b, c, MotifKind::MinMax, 0.2);
-        let readiness = dag.schedule().readiness();
-        assert_eq!(readiness.pending, vec![0, 0, 2]);
-        assert_eq!(readiness.successors, vec![vec![2], vec![2], vec![]]);
-        assert_eq!(readiness.initial, vec![0, 1]);
-    }
-
-    #[test]
-    fn empty_schedule_has_empty_readiness() {
-        let readiness = ProxyDag::new().schedule().readiness();
-        assert!(readiness.pending.is_empty());
-        assert!(readiness.successors.is_empty());
-        assert!(readiness.initial.is_empty());
+        let motifs: Vec<MotifKind> = dag.topological_edges().iter().map(|e| e.motif).collect();
+        assert_eq!(
+            motifs,
+            vec![
+                MotifKind::QuickSort,
+                MotifKind::MergeSort,
+                MotifKind::MinMax
+            ]
+        );
     }
 
     #[test]
@@ -425,7 +313,7 @@ mod tests {
             dag.add_edge(input, sink, MotifKind::ALL[i], 0.2);
         }
         assert_eq!(dag.max_out_degree(), 3);
-        assert_eq!(dag.stages(), vec![vec![0, 1, 2]]);
+        assert_eq!(dag.topological_edges(), dag.edges());
     }
 
     #[test]

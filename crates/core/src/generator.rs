@@ -3,7 +3,7 @@
 //! The generated proxy carries the workload's declared fork/join
 //! [`DagPlan`](dmpb_motifs::DagPlan) through the decomposition, so
 //! [`GenerationReport::dag`] yields the executable branching DAG the
-//! work-stealing [`crate::executor::DagExecutor`] schedules.
+//! serial [`crate::executor::DagExecutor`] runs.
 
 use dmpb_metrics::{AccuracyReport, MetricVector};
 use dmpb_workloads::workload::Workload;

@@ -31,10 +31,9 @@
 //! which can be measured under the shared performance-model instrument or
 //! executed for real on generated sample data: the workload's declared
 //! fork/join topology becomes a branching [`dag::ProxyDag`], and the
-//! work-stealing [`executor::DagExecutor`] runs its motif kernels —
-//! independent branches concurrently — through the motif-kernel registry,
-//! with per-edge derived seeds keeping digests byte-identical across
-//! thread counts.
+//! serial [`executor::DagExecutor`] runs its motif kernels in topological
+//! order through the motif-kernel registry, with per-edge derived seeds
+//! keeping digests byte-identical across chunk sizes and runs.
 //!
 //! [`runner`] holds the per-cell building blocks the scenario campaign
 //! engine (`dmpb-scenario`) drives — the one path a proxy is tuned and

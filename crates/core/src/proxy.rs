@@ -5,8 +5,7 @@
 //! All motif cost modelling and kernel execution dispatches through the
 //! [`MotifRegistry`] — the proxy holds no per-motif `match` blocks.  The
 //! DAG topology comes from the workload's declared [`DagPlan`] (fork/join
-//! structure included) and is executed by the work-stealing
-//! [`DagExecutor`].
+//! structure included) and is executed by the serial [`DagExecutor`].
 
 use std::collections::HashMap;
 

@@ -315,18 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn intra_proxy_parallelism_does_not_change_the_report() {
-        let run = |executor: &DagExecutor| {
-            ProxyRun::execute(terasort().clone(), executor, SAMPLE_ELEMENTS, 7).execution
-        };
-        assert_eq!(
-            run(&DagExecutor::new()),
-            run(&DagExecutor::new().with_max_parallel(8)),
-            "intra-proxy branch parallelism must be a pure performance axis"
-        );
-    }
-
-    #[test]
     fn streaming_does_not_change_the_execution_checksum() {
         let run = |executor: &DagExecutor| {
             ProxyRun::execute(terasort().clone(), executor, SAMPLE_ELEMENTS, 7).execution

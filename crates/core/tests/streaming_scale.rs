@@ -9,7 +9,7 @@
 //! order of magnitude slower, so tier-1 (`cargo test`) streams 10^6
 //! elements while the release CI `accuracy-gate` job streams 10^7 — but
 //! the assertion is the same: a streaming execution's peak RSS is set by
-//! the chunk budget (fan-out × per-granule scratch), not by the cell's
+//! the chunk budget (one chunk's scratch at a time), not by the cell's
 //! element count, so a bounded ceiling holds at any scale.
 
 #![cfg(target_os = "linux")]
@@ -45,9 +45,7 @@ fn streamed_large_cell_peak_rss_is_bounded_by_the_chunk_budget() {
 
     let report = ProxyGenerator::new(ClusterConfig::five_node_westmere())
         .generate_kind(WorkloadKind::TeraSort);
-    let executor = DagExecutor::new()
-        .with_max_parallel(4)
-        .with_chunk_elements(Some(1 << 20));
+    let executor = DagExecutor::new().with_chunk_elements(Some(1 << 20));
     let execution = report.proxy.execute_dag(&executor, ELEMENTS, 42);
     assert!(execution.kernels_run() > 0);
     assert_ne!(execution.checksum, 0, "execution must have done work");

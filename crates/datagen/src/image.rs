@@ -66,11 +66,6 @@ impl TensorShape {
         Self::new(batch, 3, 299, 299)
     }
 
-    /// ImageNet shape as consumed by the original AlexNet (224x224).
-    pub fn imagenet224(batch: usize) -> Self {
-        Self::new(batch, 3, 224, 224)
-    }
-
     /// Total number of elements.
     pub fn num_elements(&self) -> usize {
         self.batch * self.channels * self.height * self.width

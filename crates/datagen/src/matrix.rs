@@ -80,16 +80,6 @@ impl DenseMatrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable access to row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        assert!(r < self.rows, "row out of range");
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// The underlying row-major buffer.
     pub fn as_slice(&self) -> &[f64] {
         &self.data

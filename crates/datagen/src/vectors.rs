@@ -6,8 +6,6 @@
 //! provides both, behind a single [`VectorDatasetSpec`] so that the
 //! experiments can flip only the sparsity knob.
 
-use rand::Rng;
-
 use crate::descriptor::{DataClass, DataDescriptor, Distribution};
 use crate::distributions::{Gaussian, SparsityMask};
 use crate::rng::{derive_seed, seeded_rng};
@@ -233,17 +231,6 @@ pub fn random_centroids(count: usize, dim: usize, seed: u64) -> Vec<DenseVector>
         .map(|i| {
             let mut rng = seeded_rng(derive_seed(seed, 0x6365_6e74 ^ i as u64));
             (0..dim).map(|_| gaussian.sample(&mut rng)).collect()
-        })
-        .collect()
-}
-
-/// Generates uniformly random dense vectors (used by matrix-oriented motifs
-/// that need plain numeric input).
-pub fn random_dense(count: usize, dim: usize, seed: u64) -> Vec<DenseVector> {
-    (0..count)
-        .map(|i| {
-            let mut rng = seeded_rng(derive_seed(seed, i as u64));
-            (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect()
         })
         .collect()
 }

@@ -1,11 +1,6 @@
 //! Sort motif: quick sort and merge sort (the TeraSort building blocks).
 //!
-//! Both kernels sort gensort-style 10-byte keys.  The parallel driver
-//! splits the key array into chunks, sorts each chunk on its own task and
-//! merges the runs — the same map/sort/merge shape a Hadoop TeraSort map
-//! and reduce task performs.
-
-use crate::threading::map_chunks;
+//! Both kernels sort gensort-style 10-byte keys.
 
 /// A gensort sort key.
 pub type Key = [u8; 10];
@@ -110,26 +105,6 @@ pub fn merge_runs(left: &[Key], right: &[Key], out: &mut [Key]) {
     out[k..k + right.len() - j].copy_from_slice(&right[j..]);
 }
 
-/// Parallel sort: chunks are quick-sorted on `num_tasks` tasks and the
-/// sorted runs are merged, the shape of a TeraSort map+reduce pipeline.
-pub fn parallel_sort(keys: &[Key], num_tasks: usize) -> Vec<Key> {
-    map_chunks(
-        keys,
-        num_tasks,
-        |_, chunk| {
-            let mut run = chunk.to_vec();
-            quick_sort(&mut run);
-            run
-        },
-        |a, b| {
-            let mut out = vec![[0u8; 10]; a.len() + b.len()];
-            merge_runs(&a, &b, &mut out);
-            out
-        },
-    )
-    .unwrap_or_default()
-}
-
 /// Returns true if `keys` is sorted ascending.
 pub fn is_sorted(keys: &[Key]) -> bool {
     keys.windows(2).all(|w| w[0] <= w[1])
@@ -176,19 +151,6 @@ mod tests {
         let mut out = [[0u8; 10]; 4];
         merge_runs(&left, &right, &mut out);
         assert_eq!(out, [[1u8; 10], [2u8; 10], [3u8; 10], [4u8; 10]]);
-    }
-
-    #[test]
-    fn parallel_sort_matches_sequential() {
-        let input = keys(4096, 5);
-        let mut expected = input.clone();
-        expected.sort_unstable();
-        assert_eq!(parallel_sort(&input, 8), expected);
-    }
-
-    #[test]
-    fn parallel_sort_of_empty_input() {
-        assert!(parallel_sort(&[], 4).is_empty());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   worker leases through its own shard with best-fit reuse; see
 //!   [`crate::pool`]), so a DAG full of kernels recycles allocations
 //!   instead of re-allocating per granule — without contending on a
-//!   global free-list lock under the work-stealing executor.
+//!   global free-list lock when concurrent cells share an executor.
 //!
 //! # Streaming execution model
 //!

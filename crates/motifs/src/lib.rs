@@ -31,12 +31,6 @@
 //! dispatch through the registry instead of per-kind `match` blocks, and
 //! workload models declare fork/join structure with a
 //! [`topology::DagPlan`].
-//!
-//! The big-data implementations follow the paper's description of the
-//! execution model: input is split into chunks, each chunk is handed to a
-//! worker task ([`threading`]), and allocation goes through a unified
-//! memory-management module with GC-like collection pauses ([`memory`]),
-//! mirroring the JVM behaviour of Hadoop workloads.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -47,10 +41,8 @@ pub mod class;
 pub mod config;
 pub mod cost;
 pub mod kernel;
-pub mod memory;
 pub mod pool;
 pub mod profile;
-pub mod threading;
 pub mod topology;
 pub mod workers;
 

@@ -8,7 +8,8 @@
 //! a buffer of the length it needs, and the allocation is returned to the
 //! pool when the lease is dropped.
 //!
-//! Two properties make the pool cheap under the work-stealing executor:
+//! Two properties make the pool cheap when concurrent campaign cells
+//! share one executor, and therefore one pool:
 //!
 //! * **Sharding** — free lists are split into per-worker shards, indexed
 //!   by [`crate::workers::current_worker_index`] (shard 0 serves external
@@ -235,9 +236,9 @@ impl BufferPool {
         Self::with_shards(workers::hardware_parallelism() + 1)
     }
 
-    /// An empty pool with exactly `shards` shards (clamped to at least 1).
-    /// Executors size this as worker count + 1: one shard per worker plus
-    /// shard 0 for external threads.
+    /// An empty pool with exactly `shards` shards (clamped to at least 1):
+    /// worker `i` of a [`crate::WorkerPool`] leases through shard
+    /// `(i + 1) % shards`, external threads through shard 0.
     pub fn with_shards(shards: usize) -> Self {
         Self {
             f64s: ShardedFreeList::new(shards),
@@ -427,7 +428,7 @@ mod tests {
         workers.scope(|s| {
             for _ in 0..16 {
                 let pool = &pool;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     drop(pool.f64s(256));
                 });
             }

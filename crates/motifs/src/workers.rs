@@ -1,48 +1,47 @@
-//! A persistent work-stealing worker pool shared by the whole harness.
+//! A persistent worker pool for running campaign cells concurrently.
 //!
-//! Before this module existed, every parallel site of the workspace —
-//! the suite's per-workload fan-out, the DAG executor's per-stage
-//! branches, [`crate::threading::map_chunks`]'s chunk map — spawned fresh
-//! scoped OS threads on every call.  At proxy-benchmark scale (kernels of
-//! microseconds, dozens of kernels per proxy, eight proxies per run) the
-//! spawn/join syscalls rival the work itself, which directly erodes the
-//! ~100x proxy speedup the methodology exists to deliver.
+//! Cells are the harness's only unit of concurrency: a wide campaign
+//! hands each of its cell loops to one [`WorkerPool`] task, and every
+//! proxy DAG then runs serially inside its cell.  The pool exists so
+//! those tasks land on long-lived threads instead of freshly spawned
+//! ones — steady-state campaigns spawn no threads at all.
 //!
-//! [`WorkerPool`] replaces all of that with long-lived workers:
+//! The design is one queue and one condition variable:
 //!
-//! * each worker owns a deque; a worker pushes tasks it spawns onto its
-//!   own deque (popped LIFO for locality) and **steals** FIFO from the
-//!   other deques and the shared injector queue when its own runs dry;
-//! * external threads (anything that is not a pool worker) submit to the
-//!   injector queue;
+//! * every spawned task goes into one shared FIFO queue, and idle
+//!   workers block on the condition variable until a task (or shutdown)
+//!   arrives;
 //! * [`WorkerPool::scope`] gives structured, borrow-friendly task groups:
 //!   tasks may borrow from the caller's stack because `scope` does not
-//!   return until every task it spawned (transitively) has finished;
+//!   return until every task it spawned has finished;
 //! * the **caller participates**: while waiting for a scope to drain, the
-//!   calling thread executes tasks itself.  A pool therefore only needs
-//!   `n - 1` background workers to run `n` branches concurrently, a pool
-//!   with zero workers degrades to plain serial execution, and nested
-//!   scopes on one pool cannot deadlock (a blocked waiter keeps running
-//!   tasks instead of holding a worker hostage).
+//!   calling thread executes queued tasks itself.  A pool therefore only
+//!   needs `n - 1` background workers to run `n` tasks concurrently, a
+//!   pool with zero workers degrades to plain serial execution, and
+//!   nested scopes on one pool cannot deadlock (a blocked waiter keeps
+//!   running tasks instead of holding a worker hostage).
+//!
+//! Every state change a thread can wait for — a task queued, a scope
+//! drained, shutdown — is made or ordered under the queue lock and then
+//! notified, and every waiter re-checks its condition under that lock
+//! before blocking, so no wakeup can be missed and nobody polls.
 //!
 //! Workers are spawned once, in [`WorkerPool::new`], and never in steady
 //! state; [`WorkerPool::total_threads_spawned`] exposes the process-wide
 //! spawn counter so tests can pin that property.
 //!
 //! Determinism: the pool schedules *when* tasks run, never *what* they
-//! compute.  All harness tasks derive their seeds from topological or
-//! positional indices and publish results into pre-indexed slots, so any
-//! interleaving produces byte-identical output (see
-//! `dmpb_core::executor`).
+//! compute.  Campaign cells carry pre-derived seeds and publish results
+//! into pre-indexed slots, so any interleaving produces byte-identical
+//! output.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// The number of hardware threads the host exposes (at least 1;
 /// [`std::thread::available_parallelism`] with a conservative fallback).
@@ -52,22 +51,11 @@ pub fn hardware_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// The default ceiling for explicit parallelism requests, derived from
-/// [`hardware_parallelism`] instead of a hard-wired constant: 4x the
-/// hardware threads (a benchmark harness tolerates mild oversubscription),
-/// floored at 8 so the canonical 8-worker determinism gates stay
-/// meaningful on small CI boxes, and capped at 512 as a sanity bound on
-/// very wide machines.
-pub fn default_parallel_ceiling() -> usize {
-    hardware_parallelism().saturating_mul(4).clamp(8, 512)
-}
-
-/// A task as stored in the queues: the scope it belongs to plus the
-/// lifetime-erased closure (see the `SAFETY` discussion in
-/// [`Scope::spawn`]).
+/// A queued task: the scope it belongs to plus the lifetime-erased
+/// closure (see the `SAFETY` discussion in [`Scope::spawn`]).
 struct Task {
     state: Arc<ScopeState>,
-    run: Box<dyn FnOnce(&Scope<'static>) + Send + 'static>,
+    run: Box<dyn FnOnce() + Send + 'static>,
 }
 
 /// Completion tracking for one [`WorkerPool::scope`] call.
@@ -80,114 +68,50 @@ struct ScopeState {
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
+/// The queue shared by the pool handle, its workers and scope waiters.
+#[derive(Default)]
+struct Queue {
+    tasks: VecDeque<Task>,
+    shutdown: bool,
+}
+
 /// State shared between the pool handle and its worker threads.
 struct Shared {
-    /// Distinguishes pools so a worker of pool A submitting to pool B is
-    /// routed to B's injector, not A's deque index.
-    id: usize,
-    /// One deque per background worker.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Submission queue for external (non-worker) threads.
-    injector: Mutex<VecDeque<Task>>,
-    /// Sleep/wake plumbing: pushers notify under this lock, idle workers
-    /// and scope waiters re-check the queues under it before parking.
-    monitor: Mutex<()>,
+    queue: Mutex<Queue>,
+    /// Notified whenever a task is queued, a scope drains or the pool
+    /// shuts down.
     signal: Condvar,
-    /// Threads currently parked (or about to park) on `signal`.  Pushers
-    /// skip the monitor lock and the notification entirely while this is
-    /// zero, keeping the task-submission hot path lock-free with respect
-    /// to the monitor when every worker is busy.
-    sleepers: AtomicUsize,
-    shutdown: AtomicBool,
 }
 
 impl Shared {
-    /// Enqueues a task: onto the current worker's own deque when called
-    /// from a worker of this pool, onto the injector otherwise.
-    fn push(&self, task: Task) {
-        match current_slot() {
-            Some((pool, index)) if pool == self.id && index < self.deques.len() => {
-                self.deques[index]
-                    .lock()
-                    .expect("worker deque poisoned")
-                    .push_back(task);
-            }
-            _ => {
-                self.injector
-                    .lock()
-                    .expect("injector poisoned")
-                    .push_back(task);
-            }
-        }
-        self.wake();
+    /// Locks the queue.  Tasks never run under this lock, so a panicking
+    /// task cannot poison it; a poisoned lock is recovered all the same.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Wakes parked threads if there are any.  Sound against the parking
-    /// protocol: a parking thread registers in `sleepers` (SeqCst) and
-    /// only then re-checks the queues, so either this load observes the
-    /// sleeper and notifies, or the sleeper's re-check observes the work
-    /// enqueued before the load — a wakeup can be skipped only when it
-    /// was not needed.
-    fn wake(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.monitor.lock().expect("pool monitor poisoned");
-            self.signal.notify_all();
-        }
+    /// Blocks on the condition variable, releasing `queue` meanwhile.
+    fn wait<'a>(&self, queue: MutexGuard<'a, Queue>) -> MutexGuard<'a, Queue> {
+        self.signal
+            .wait(queue)
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Pops a task: the caller's own deque LIFO first (locality), then the
-    /// injector, then the other deques FIFO (stealing).
-    fn find_task(&self, own: Option<usize>) -> Option<Task> {
-        if let Some(me) = own {
-            if let Some(task) = self.deques[me]
-                .lock()
-                .expect("worker deque poisoned")
-                .pop_back()
-            {
-                return Some(task);
-            }
-        }
-        if let Some(task) = self.injector.lock().expect("injector poisoned").pop_front() {
-            return Some(task);
-        }
-        let workers = self.deques.len();
-        let start = own.map_or(0, |me| me + 1);
-        for offset in 0..workers {
-            let victim = (start + offset) % workers;
-            if Some(victim) == own {
-                continue;
-            }
-            if let Some(task) = self.deques[victim]
-                .lock()
-                .expect("worker deque poisoned")
-                .pop_front()
-            {
-                return Some(task);
-            }
-        }
-        None
-    }
-
-    /// Whether any queue currently holds a task (used for the re-check
-    /// under the monitor lock before parking).
-    fn has_tasks(&self) -> bool {
-        if !self.injector.lock().expect("injector poisoned").is_empty() {
-            return true;
-        }
-        self.deques
-            .iter()
-            .any(|d| !d.lock().expect("worker deque poisoned").is_empty())
+    /// Wakes every waiter after a state change.  Taking the lock orders
+    /// the notification after any waiter's under-lock re-check, which is
+    /// what rules out lost wakeups.
+    fn notify(&self) {
+        let _queue = self.lock();
+        self.signal.notify_all();
     }
 }
 
 thread_local! {
-    /// `(pool id, worker index)` of the pool worker running on this
-    /// thread, `None` on external threads.
-    static WORKER_SLOT: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
-}
-
-fn current_slot() -> Option<(usize, usize)> {
-    WORKER_SLOT.with(Cell::get)
+    /// The index of the pool worker running on this thread, `None` on
+    /// external threads.
+    static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// The index of the pool worker running on the current thread, if any.
@@ -196,95 +120,59 @@ fn current_slot() -> Option<(usize, usize)> {
 /// pick a per-worker shard without threading pool handles through every
 /// kernel signature.
 pub fn current_worker_index() -> Option<usize> {
-    current_slot().map(|(_, index)| index)
+    WORKER_INDEX.with(Cell::get)
 }
 
-/// Runs one task, routing a panic into the scope state, and signals
-/// completion.
-fn run_task(shared: &Arc<Shared>, task: Task) {
+/// Runs one task, routing a panic into the scope state, and signals the
+/// scope's waiter when it was the last one.
+fn run_task(shared: &Shared, task: Task) {
     let Task { state, run } = task;
-    let scope = Scope::<'static> {
-        shared: Arc::clone(shared),
-        state: Arc::clone(&state),
-        _marker: PhantomData,
-    };
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run(&scope))) {
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(run)) {
         let mut slot = state.panic.lock().expect("scope panic slot poisoned");
         slot.get_or_insert(payload);
     }
     if state.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-        // Last task of the scope: wake its waiter.
-        shared.wake();
+        shared.notify();
     }
 }
 
-/// The long-lived background worker body.
+/// The long-lived background worker body: run queued tasks until
+/// shutdown, blocking while the queue is empty.
 fn worker_loop(shared: Arc<Shared>, index: usize) {
-    WORKER_SLOT.with(|slot| slot.set(Some((shared.id, index))));
+    WORKER_INDEX.with(|slot| slot.set(Some(index)));
+    let mut queue = shared.lock();
     loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if let Some(task) = shared.find_task(Some(index)) {
+        if let Some(task) = queue.tasks.pop_front() {
+            drop(queue);
             run_task(&shared, task);
-            continue;
+            queue = shared.lock();
+        } else if queue.shutdown {
+            return;
+        } else {
+            queue = shared.wait(queue);
         }
-        let guard = shared.monitor.lock().expect("pool monitor poisoned");
-        // Park protocol: register as a sleeper *first*, then re-check the
-        // queues — a pusher either sees the registration and notifies, or
-        // enqueued early enough for this re-check to find the task.
-        shared.sleepers.fetch_add(1, Ordering::SeqCst);
-        if shared.shutdown.load(Ordering::Acquire) || shared.has_tasks() {
-            shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-            if shared.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            continue;
-        }
-        let _ = shared
-            .signal
-            .wait_timeout(guard, Duration::from_millis(2))
-            .expect("pool monitor poisoned");
-        shared.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// Helps execute tasks until `state` has no pending tasks left.  Called by
-/// scope waiters — the scope owner's thread and any worker blocked on a
-/// nested scope — so waiting threads contribute throughput instead of
-/// parking.
-fn help_until_done(shared: &Arc<Shared>, state: &Arc<ScopeState>) {
-    let own = current_slot().and_then(|(pool, index)| (pool == shared.id).then_some(index));
+/// Helps execute queued tasks until `state` has no pending tasks left,
+/// blocking only while the queue is empty.  Called by scope waiters — the
+/// scope owner's thread and any worker blocked on a nested scope — so
+/// waiting threads contribute throughput instead of idling.
+fn help_until_done(shared: &Shared, state: &ScopeState) {
+    let mut queue = shared.lock();
     while state.pending.load(Ordering::SeqCst) != 0 {
-        if let Some(task) = shared.find_task(own) {
-            run_task(shared, task);
-            continue;
-        }
-        let guard = shared.monitor.lock().expect("pool monitor poisoned");
-        // Same park protocol as `worker_loop`: register, then re-check
-        // both wake conditions (scope drained, work available).
-        shared.sleepers.fetch_add(1, Ordering::SeqCst);
-        if state.pending.load(Ordering::SeqCst) == 0 || shared.has_tasks() {
-            shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-            if state.pending.load(Ordering::SeqCst) == 0 {
-                return;
+        match queue.tasks.pop_front() {
+            Some(task) => {
+                drop(queue);
+                run_task(shared, task);
+                queue = shared.lock();
             }
-            continue;
+            None => queue = shared.wait(queue),
         }
-        let _ = shared
-            .signal
-            .wait_timeout(guard, Duration::from_micros(500))
-            .expect("pool monitor poisoned");
-        shared.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 /// A spawn handle into one [`WorkerPool::scope`] call.
-///
-/// Tasks receive a `&Scope<'scope>` so they can spawn further tasks into
-/// the same scope — this is what lets the DAG executor release successor
-/// edges the instant their countdown hits zero, from whichever worker
-/// finished the last predecessor.
 pub struct Scope<'scope> {
     shared: Arc<Shared>,
     state: Arc<ScopeState>,
@@ -302,43 +190,39 @@ impl fmt::Debug for Scope<'_> {
 
 impl<'scope> Scope<'scope> {
     /// Spawns a task into this scope.  The closure may borrow anything
-    /// that outlives the `scope` call, and may itself spawn further tasks
-    /// through the `&Scope` it receives.
+    /// that outlives the `scope` call.
     pub fn spawn<F>(&self, f: F)
     where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
+        F: FnOnce() + Send + 'scope,
     {
         self.state.pending.fetch_add(1, Ordering::SeqCst);
-        let run: Box<dyn FnOnce(&Scope<'scope>) + Send + 'scope> = Box::new(f);
+        let run: Box<dyn FnOnce() + Send + 'scope> = Box::new(f);
         // SAFETY: the closure's `'scope` borrows are erased to `'static`
-        // for storage in the queues.  This is sound because every path out
+        // for storage in the queue.  This is sound because every path out
         // of `WorkerPool::scope` — normal return or unwind — first waits
         // for `pending` to reach zero (the `WaitGuard`), and `pending` is
         // only decremented *after* a task's closure has returned.  No task
         // can therefore touch its borrows after `scope` returns, which is
-        // exactly the guarantee `'scope` encoded.  The `Scope<'static>`
-        // argument mismatch is equally erased; `Scope`'s layout does not
-        // depend on its lifetime parameter.
-        let run: Box<dyn FnOnce(&Scope<'static>) + Send + 'static> = unsafe {
+        // exactly the guarantee `'scope` encoded.
+        let run: Box<dyn FnOnce() + Send + 'static> = unsafe {
             std::mem::transmute::<
-                Box<dyn FnOnce(&Scope<'scope>) + Send + 'scope>,
-                Box<dyn FnOnce(&Scope<'static>) + Send + 'static>,
+                Box<dyn FnOnce() + Send + 'scope>,
+                Box<dyn FnOnce() + Send + 'static>,
             >(run)
         };
-        self.shared.push(Task {
+        self.shared.lock().tasks.push_back(Task {
             state: Arc::clone(&self.state),
             run,
         });
+        self.shared.signal.notify_all();
     }
 }
 
 /// Process-wide count of threads ever spawned by any [`WorkerPool`]; see
 /// [`WorkerPool::total_threads_spawned`].
 static THREADS_SPAWNED: AtomicUsize = AtomicUsize::new(0);
-/// Monotonic pool-id source for [`Shared::id`].
-static POOL_IDS: AtomicUsize = AtomicUsize::new(0);
 
-/// A persistent pool of work-stealing workers (see the
+/// A persistent pool of workers draining one shared queue (see the
 /// [module documentation](self)).
 pub struct WorkerPool {
     shared: Arc<Shared>,
@@ -356,17 +240,12 @@ impl fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// Spawns a pool with `workers` background worker threads.  Because
     /// scope callers participate in execution, a pool sized `n - 1` runs
-    /// `n` branches concurrently, and `WorkerPool::new(0)` is a valid,
+    /// `n` tasks concurrently, and `WorkerPool::new(0)` is a valid,
     /// thread-free pool whose scopes execute entirely on the caller.
     pub fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared {
-            id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            monitor: Mutex::new(()),
+            queue: Mutex::new(Queue::default()),
             signal: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
         });
         let handles = (0..workers)
             .map(|index| {
@@ -379,14 +258,6 @@ impl WorkerPool {
             })
             .collect();
         Self { shared, handles }
-    }
-
-    /// A process-wide shared pool sized to the hardware
-    /// (`hardware_parallelism() - 1` background workers), for call sites
-    /// without their own pool (e.g. [`crate::threading::map_chunks`]).
-    pub fn global() -> &'static Arc<WorkerPool> {
-        static GLOBAL: OnceLock<Arc<WorkerPool>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(WorkerPool::new(hardware_parallelism() - 1)))
     }
 
     /// Number of background worker threads (constant for the pool's whole
@@ -403,9 +274,9 @@ impl WorkerPool {
     }
 
     /// Runs `f` with a [`Scope`] spawn handle and waits — helping to
-    /// execute tasks — until every task spawned into the scope (including
-    /// transitively, by other tasks) has finished.  Panics raised by tasks
-    /// are re-raised here after the scope has drained.
+    /// execute queued tasks — until every task spawned into the scope has
+    /// finished.  Panics raised by tasks are re-raised here after the
+    /// scope has drained.
     pub fn scope<'scope, R>(&self, f: impl FnOnce(&Scope<'scope>) -> R) -> R {
         let state = Arc::new(ScopeState {
             pending: AtomicUsize::new(0),
@@ -420,8 +291,8 @@ impl WorkerPool {
             /// Waits out the scope even when `f` unwinds, so borrowed data
             /// is never freed under a still-running task.
             struct WaitGuard<'a> {
-                shared: &'a Arc<Shared>,
-                state: &'a Arc<ScopeState>,
+                shared: &'a Shared,
+                state: &'a ScopeState,
             }
             impl Drop for WaitGuard<'_> {
                 fn drop(&mut self) {
@@ -448,11 +319,8 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        {
-            let _guard = self.shared.monitor.lock().expect("pool monitor poisoned");
-            self.shared.signal.notify_all();
-        }
+        self.shared.lock().shutdown = true;
+        self.shared.signal.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -471,7 +339,7 @@ mod tests {
         pool.scope(|s| {
             for _ in 0..100 {
                 let counter = &counter;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     counter.fetch_add(1, Ordering::Relaxed);
                 });
             }
@@ -487,32 +355,11 @@ mod tests {
         let ran_on = Mutex::new(None);
         pool.scope(|s| {
             let ran_on = &ran_on;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 *ran_on.lock().unwrap() = Some(std::thread::current().id());
             });
         });
         assert_eq!(ran_on.into_inner().unwrap(), Some(caller));
-    }
-
-    #[test]
-    fn tasks_can_spawn_tasks_into_the_same_scope() {
-        let pool = WorkerPool::new(2);
-        let counter = AtomicU64::new(0);
-        pool.scope(|s| {
-            let counter = &counter;
-            s.spawn(move |s| {
-                counter.fetch_add(1, Ordering::Relaxed);
-                for _ in 0..10 {
-                    s.spawn(move |s| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        s.spawn(move |_| {
-                            counter.fetch_add(1, Ordering::Relaxed);
-                        });
-                    });
-                }
-            });
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 21);
     }
 
     #[test]
@@ -523,10 +370,10 @@ mod tests {
             for _ in 0..4 {
                 let counter = &counter;
                 let pool = &pool;
-                outer.spawn(move |_| {
+                outer.spawn(move || {
                     pool.scope(|inner| {
                         for _ in 0..4 {
-                            inner.spawn(move |_| {
+                            inner.spawn(move || {
                                 counter.fetch_add(1, Ordering::Relaxed);
                             });
                         }
@@ -542,7 +389,7 @@ mod tests {
         let pool = WorkerPool::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.scope(|s| {
-                s.spawn(|_| panic!("task exploded"));
+                s.spawn(|| panic!("task exploded"));
             });
         }));
         assert!(result.is_err());
@@ -550,7 +397,7 @@ mod tests {
         let counter = AtomicU64::new(0);
         pool.scope(|s| {
             let counter = &counter;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 counter.fetch_add(1, Ordering::Relaxed);
             });
         });
@@ -567,7 +414,7 @@ mod tests {
         for _ in 0..10 {
             pool.scope(|s| {
                 for _ in 0..32 {
-                    s.spawn(|_| {
+                    s.spawn(|| {
                         std::hint::black_box(0u64);
                     });
                 }
@@ -591,7 +438,7 @@ mod tests {
         pool.scope(|s| {
             for _ in 0..64 {
                 let seen = &seen;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     seen.lock().unwrap().push(current_worker_index());
                     std::thread::yield_now();
                 });
@@ -604,11 +451,39 @@ mod tests {
             .all(|slot| matches!(slot, None | Some(0) | Some(1))));
     }
 
+    /// Back-to-back tiny scopes race every wakeup path: a worker
+    /// parking just as a task is queued, the caller parking just as the
+    /// scope's last task finishes, a nested scope's waiter blocking
+    /// inside a task.  Waiters block without a timeout, so a missed
+    /// notification hangs this test instead of costing a poll interval.
     #[test]
-    fn ceiling_is_derived_from_the_hardware() {
-        let ceiling = default_parallel_ceiling();
-        assert!(ceiling >= 8, "floor keeps 8-worker gates meaningful");
-        assert!(ceiling >= hardware_parallelism());
-        assert!(ceiling <= 512);
+    fn back_to_back_scopes_never_miss_a_wakeup() {
+        const ROUNDS: usize = 20_000;
+        let pool = WorkerPool::new(3);
+        let counter = AtomicU64::new(0);
+        let mut expected = 0;
+        for round in 0..ROUNDS {
+            let tasks = 1 + round % 3;
+            let nested = round % 7 == 0;
+            expected += tasks as u64 + if nested { 2 } else { 0 };
+            pool.scope(|s| {
+                for task in 0..tasks {
+                    let (counter, pool) = (&counter, &pool);
+                    s.spawn(move || {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        if nested && task == 0 {
+                            pool.scope(|inner| {
+                                for _ in 0..2 {
+                                    inner.spawn(move || {
+                                        counter.fetch_add(1, Ordering::Relaxed);
+                                    });
+                                }
+                            });
+                        }
+                    });
+                }
+            });
+            assert_eq!(counter.load(Ordering::Relaxed), expected, "round {round}");
+        }
     }
 }

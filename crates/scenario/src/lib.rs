@@ -26,10 +26,12 @@
 //!    a sidecar index for replay-free warm opens) — and re-runs skip
 //!    every already-computed cell, byte-identically.
 //! 4. **A batch campaign runner** ([`runner`]) — the one path a proxy is
-//!    tuned and executed by.  Cells are batched onto one persistent
-//!    work-stealing [`WorkerPool`](dmpb_motifs::workers::WorkerPool),
-//!    and one [`TuningCache`](dmpb_core::TuningCache) keyed on the
-//!    tuning cluster means a runner tunes each (workload, tuning-cluster)
+//!    tuned and executed by.  Cells are the only unit of concurrency:
+//!    a wide campaign batches them onto one persistent
+//!    [`WorkerPool`](dmpb_motifs::workers::WorkerPool) and runs each
+//!    proxy DAG serially inside its cell, and one
+//!    [`TuningCache`](dmpb_core::TuningCache) keyed on the tuning
+//!    cluster means a runner tunes each (workload, tuning-cluster)
 //!    pair once no matter how many cells — or campaigns — sweep it.
 //!
 //! The paper-table binaries (`table6`, `fig4`, `fig10`, `table3`) are

@@ -1,6 +1,6 @@
 //! The batch campaign runner: expands a scenario and executes its cells
-//! on the persistent work-stealing worker pool, short-circuiting through
-//! the content-addressed [`ResultStore`].
+//! on a persistent worker pool, short-circuiting through the
+//! content-addressed [`ResultStore`].
 //!
 //! This is the one path a proxy is tuned and executed by.  A cell that
 //! misses the store is tuned through the runner's single
@@ -322,17 +322,6 @@ impl CampaignRunner {
         self
     }
 
-    /// Pre-seeds the campaign's shared worker pool with an existing one
-    /// — so a pool used to scan a sharded store's segments at open time
-    /// (see [`ResultStore::open_sharded_with_pool`]) is the same pool
-    /// the campaign's cells later run on, instead of a second thread
-    /// fleet.  Must be called before the first campaign runs; once the
-    /// pool has been created lazily, a later pre-seed is ignored.
-    pub fn with_worker_pool(self, pool: Arc<WorkerPool>) -> Self {
-        let _ = self.pool.set(pool);
-        self
-    }
-
     /// Streams every cell's sample execution in granule-aligned chunks of
     /// at most `chunk_elements` elements (bounded peak RSS at large
     /// element counts).  A scenario's `[executor] chunk_elements` takes
@@ -491,7 +480,7 @@ impl CampaignRunner {
                     let slots = &slots;
                     let cells = &cells;
                     let cursor = &cursor;
-                    scope.spawn(move |_| loop {
+                    scope.spawn(move || loop {
                         let index = cursor.fetch_add(1, Ordering::Relaxed);
                         if index >= cells.len() {
                             break;

@@ -51,7 +51,6 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use dmpb_core::fnv::hash_bytes;
 use dmpb_core::runner::ProxyRun;
 use dmpb_metrics::json::{parse_object, JsonScalar, ObjectWriter};
-use dmpb_motifs::workers::WorkerPool;
 use dmpb_workloads::{workload_by_kind, Framework, Workload, WorkloadKind};
 
 use crate::matrix::CampaignCell;
@@ -720,26 +719,19 @@ impl ResultStore {
 
     /// Opens (or creates) a persistent store at `path`; a new store gets
     /// [`DEFAULT_STORE_SHARDS`] segments.  See
-    /// [`ResultStore::open_sharded_with_pool`].
+    /// [`ResultStore::open_sharded`].
     ///
     /// A malformed *final* line (the footprint of a crash mid-append) is
     /// truncated away with a warning instead of bricking the store;
     /// malformed interior lines are still hard errors.  See
     /// [`ResultStore::recovered_tails`] for the discarded tails, if any.
     pub fn open(path: impl Into<PathBuf>) -> Result<Self, String> {
-        Self::open_sharded_with_pool(path, DEFAULT_STORE_SHARDS, None)
+        Self::open_sharded(path, DEFAULT_STORE_SHARDS)
     }
 
     /// Opens (or creates) a persistent store at `path`; a new store gets
-    /// `shards` segments.  See [`ResultStore::open_sharded_with_pool`].
-    pub fn open_sharded(path: impl Into<PathBuf>, shards: usize) -> Result<Self, String> {
-        Self::open_sharded_with_pool(path, shards, None)
-    }
-
-    /// Opens (or creates) a persistent store at `path`, scanning
-    /// segments on `pool` when the sidecar index is missing or stale
-    /// (one scan task per segment; without a pool the scan uses scoped
-    /// OS threads).
+    /// `shards` segments.  When the sidecar index is missing or stale,
+    /// every segment is scanned, one scoped thread per segment.
     ///
     /// * `path` missing — a fresh store directory with `shards` segments
     ///   is created.
@@ -751,11 +743,7 @@ impl ResultStore {
     ///   backup is removed.  If a crash interrupts that, the next open
     ///   finds the backup, removes the half-built directory, restores
     ///   the file and migrates again.
-    pub fn open_sharded_with_pool(
-        path: impl Into<PathBuf>,
-        shards: usize,
-        pool: Option<&WorkerPool>,
-    ) -> Result<Self, String> {
+    pub fn open_sharded(path: impl Into<PathBuf>, shards: usize) -> Result<Self, String> {
         let path = path.into();
         if shards == 0 {
             return Err("store shard count must be at least 1".to_string());
@@ -764,14 +752,14 @@ impl ResultStore {
         if path.is_file() {
             migrate_legacy_store(&path, shards)?;
         }
-        Self::open_dir(path, shards, pool)
+        Self::open_dir(path, shards)
     }
 
     /// Opens a store directory, creating it with `shards` segments if
     /// absent.  The sidecar index is used when it is present and
     /// consistent with the segments; otherwise every segment is scanned
     /// (in parallel) with per-segment torn-tail recovery.
-    fn open_dir(dir: PathBuf, shards: usize, pool: Option<&WorkerPool>) -> Result<Self, String> {
+    fn open_dir(dir: PathBuf, shards: usize) -> Result<Self, String> {
         let shards = if dir.is_dir() {
             read_store_meta(&dir)?
         } else {
@@ -792,7 +780,7 @@ impl ResultStore {
         let (indexes, opened_from_sidecar) = match load_sidecar(&dir, shards)? {
             Some(indexes) => (indexes, true),
             None => {
-                let loads = scan_segments(&dir, shards, pool)?;
+                let loads = scan_segments(&dir, shards)?;
                 let mut indexes = Vec::with_capacity(shards);
                 for load in loads {
                     if let Some(tail) = load.recovered {
@@ -1336,13 +1324,8 @@ fn load_segment(path: &Path, tails: &mut Vec<TornTail>) -> Result<SegmentLoad, S
     Ok(SegmentLoad { index, recovered })
 }
 
-/// Scans every segment of a sharded store — one task per segment, on the
-/// shared pool when one is provided, on scoped OS threads otherwise.
-fn scan_segments(
-    dir: &Path,
-    shards: usize,
-    pool: Option<&WorkerPool>,
-) -> Result<Vec<SegmentLoad>, String> {
+/// Scans every segment of a sharded store, one scoped thread per segment.
+fn scan_segments(dir: &Path, shards: usize) -> Result<Vec<SegmentLoad>, String> {
     let paths: Vec<PathBuf> = (0..shards).map(|k| segment_path(dir, k)).collect();
     let slots: Vec<OnceLock<Result<SegmentLoad, String>>> =
         (0..shards).map(|_| OnceLock::new()).collect();
@@ -1354,20 +1337,12 @@ fn scan_segments(
         });
         assert!(slots[k].set(result).is_ok(), "segment scanned twice");
     };
-    match pool {
-        Some(pool) => pool.scope(|scope| {
-            for k in 0..shards {
-                let scan = &scan;
-                scope.spawn(move |_| scan(k));
-            }
-        }),
-        None => std::thread::scope(|s| {
-            for k in 0..shards {
-                let scan = &scan;
-                s.spawn(move || scan(k));
-            }
-        }),
-    }
+    std::thread::scope(|s| {
+        for k in 0..shards {
+            let scan = &scan;
+            s.spawn(move || scan(k));
+        }
+    });
     let mut loads = Vec::with_capacity(shards);
     for (k, slot) in slots.into_iter().enumerate() {
         loads.push(

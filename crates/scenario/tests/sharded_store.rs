@@ -79,7 +79,7 @@ fn eight_pool_workers_hammer_one_sharded_store() {
             let template = &template;
             let hits = &hits;
             let misses = &misses;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for op in 0..OPS_PER_WORKER {
                     let fingerprint = BASE + (worker * OPS_PER_WORKER + op) % DISTINCT;
                     if op % 3 == 0 {

@@ -4,7 +4,7 @@
 //! crate keeps the cache *warm across invocations* by putting one
 //! [`CampaignRunner`](dmpb_scenario::CampaignRunner) — and therefore one
 //! shared [`ResultStore`](dmpb_scenario::ResultStore) and one persistent
-//! [`WorkerPool`](dmpb_motifs::workers::WorkerPool) — behind a small
+//! cell [`WorkerPool`](dmpb_motifs::workers::WorkerPool) — behind a small
 //! HTTP/1.1 daemon:
 //!
 //! * `POST /campaigns` — submit a scenario-DSL file; answers `202` with

@@ -3,8 +3,9 @@
 //!
 //! One [`CampaignRunner`] — and therefore one warm
 //! [`ResultStore`](dmpb_scenario::ResultStore) and one persistent
-//! [`WorkerPool`](dmpb_motifs::workers::WorkerPool) — serves every
-//! client for the daemon's lifetime.  Submissions land in a fixed-depth
+//! [`WorkerPool`](dmpb_motifs::workers::WorkerPool), built on the first
+//! campaign wider than one cell — serves every client for the daemon's
+//! lifetime.  Submissions land in a fixed-depth
 //! queue (`429` once it is full: bounded admission, not unbounded memory
 //! growth) and a single dispatcher thread drains it, so campaigns run
 //! one at a time at full pool width while results stream out of the
@@ -201,12 +202,6 @@ impl ServiceHandle {
         self.state.runner.store_stats()
     }
 
-    /// The current `/metrics` exposition (also used by tests to check the
-    /// endpoint against [`ServiceHandle::store_stats`]).
-    pub fn metrics_text(&self) -> String {
-        render_metrics(&self.state)
-    }
-
     /// Stops accepting, drains the in-flight campaign, and joins the
     /// service threads.  Queued-but-unstarted campaigns are abandoned.
     pub fn shutdown(mut self) {
@@ -237,17 +232,10 @@ impl Drop for ServiceHandle {
 
 /// Binds the service and spawns its accept and dispatcher threads.
 pub fn serve(config: ServiceConfig) -> Result<ServiceHandle, String> {
-    // One pool serves the daemon's lifetime: it scans the store's
-    // segments at boot and batches campaign cells thereafter.
-    let pool = Arc::new(dmpb_motifs::workers::WorkerPool::new(
-        config.workers.max(1).saturating_sub(1),
-    ));
     let store = match &config.store_path {
-        Some(path) => ResultStore::open_sharded_with_pool(
-            path,
-            config.store_shards.unwrap_or(DEFAULT_STORE_SHARDS),
-            Some(&pool),
-        )?,
+        Some(path) => {
+            ResultStore::open_sharded(path, config.store_shards.unwrap_or(DEFAULT_STORE_SHARDS))?
+        }
         None => ResultStore::in_memory(),
     };
     dmpb_motifs::KernelProfiler::global().set_enabled(true);
@@ -257,7 +245,6 @@ pub fn serve(config: ServiceConfig) -> Result<ServiceHandle, String> {
     // `/metrics` can expose per-kind execution counters.  Profiling never
     // changes results (reports and digests are profile-independent).
     let runner = CampaignRunner::with_store(store)
-        .with_worker_pool(pool)
         .with_workers(config.workers.max(1))
         .with_chunk_elements(config.chunk_elements)
         .with_kernel_profiling(true)

@@ -19,11 +19,6 @@ pub const JVM_INSTRUCTIONS_PER_BYTE: f64 = 55.0;
 /// Code footprint of the JVM + Hadoop runtime (far beyond any L1I).
 pub const JVM_CODE_FOOTPRINT_BYTES: u64 = 6 * 1024 * 1024;
 
-/// Fraction of JVM overhead instructions attributable to garbage
-/// collection (used by tests and reports; GC work is folded into the same
-/// profile).
-pub const GC_FRACTION: f64 = 0.2;
-
 /// Builds the JVM overhead profile for `processed_bytes` of user data with
 /// the given live-heap working set.
 pub fn jvm_overhead_profile(processed_bytes: u64, heap_bytes: u64) -> OpProfile {

@@ -51,15 +51,12 @@ fn main() {
     println!("qualified within 15% on every metric: {}", report.qualified);
 
     // The proxy is also a real program: run its DAG's kernels on sample
-    // data, independent branches in parallel.
+    // data, in topological order.
     use data_motif_proxy::core::executor::DagExecutor;
-    let executor = DagExecutor::new().with_max_parallel(4);
-    let execution = report.proxy.execute_dag(&executor, 10_000, 7);
+    let execution = report.proxy.execute_dag(&DagExecutor::new(), 10_000, 7);
     println!(
-        "\nexecuted {} motif kernels for real across {} stages (widest {}), checksum {:#x}",
+        "\nexecuted {} motif kernels for real, checksum {:#x}",
         execution.kernels_run(),
-        execution.stages,
-        execution.max_stage_width,
         execution.checksum
     );
 }

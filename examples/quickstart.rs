@@ -11,7 +11,8 @@ use data_motif_proxy::perfmodel::{ArchProfile, ExecutionEngine};
 fn main() {
     // 1. Generate gensort-style records and really sort them.
     let records = TextGenerator::new(42).generate(100_000);
-    let sorted = sort::parallel_sort(&records.keys(), 8);
+    let mut sorted = records.keys();
+    sort::quick_sort(&mut sorted);
     println!(
         "sorted {} records; first key = {:?}",
         sorted.len(),

@@ -1,7 +1,7 @@
 //! Property-based tests over core data structures and invariants, plus the
 //! DAG-executor determinism gate: executing any of the eight workload DAGs
-//! must produce identical digests and checksums across branch-parallelism
-//! settings and across repeated runs.
+//! must produce identical digests and checksums streamed and monolithic,
+//! across repeated runs, and while concurrent cells share one executor.
 
 use data_motif_proxy::core::dag::ProxyDag;
 use data_motif_proxy::core::decompose::decompose;
@@ -13,7 +13,7 @@ use data_motif_proxy::datagen::text::TextGenerator;
 use data_motif_proxy::datagen::{DataClass, DataDescriptor, Distribution};
 use data_motif_proxy::metrics::accuracy;
 use data_motif_proxy::motifs::bigdata::{set_ops, sort, transform};
-use data_motif_proxy::motifs::MotifKind;
+use data_motif_proxy::motifs::{MotifKind, WorkerPool};
 use data_motif_proxy::perfmodel::cache::{Cache, CacheConfig};
 use data_motif_proxy::workloads::framework::spark::AppShape;
 use data_motif_proxy::workloads::spark::{SparkKMeans, SparkPageRank, SparkTeraSort};
@@ -36,25 +36,19 @@ fn initial_proxies() -> Vec<ProxyBenchmark> {
         .collect()
 }
 
-/// Satellite gate: the DAG executor's digest and the `ExecutionSummary`
-/// checksum must be identical across `with_max_parallel(1)` vs the
-/// 8-worker work-stealing pool vs 8-worker chunked streaming, and across
-/// repeated runs, for all 8 workloads.
+/// The DAG executor's digest and the `ExecutionSummary` checksum must be
+/// identical monolithic vs chunked streaming and across repeated runs,
+/// for all 8 workloads.
 #[test]
-fn dag_execution_is_identical_across_branch_parallelism_for_all_workloads() {
-    let serial = DagExecutor::new().with_max_parallel(1);
-    let branchy = DagExecutor::new().with_max_parallel(8);
-    let streamed = DagExecutor::new()
-        .with_max_parallel(8)
-        .with_chunk_elements(Some(4096));
+fn dag_execution_is_identical_streamed_and_repeated_for_all_workloads() {
+    let monolithic = DagExecutor::new();
+    let streamed = DagExecutor::new().with_chunk_elements(Some(4096));
     for proxy in initial_proxies() {
-        let a = proxy.execute_dag(&serial, 1_000, 17);
-        let b = proxy.execute_dag(&branchy, 1_000, 17);
-        let c = proxy.execute_dag(&branchy, 1_000, 17);
-        let d = proxy.execute_dag(&streamed, 1_000, 17);
-        assert_eq!(a, b, "{}: parallelism changed the execution", proxy.name());
-        assert_eq!(b, c, "{}: repeated runs differ", proxy.name());
-        assert_eq!(b, d, "{}: streaming changed the execution", proxy.name());
+        let a = proxy.execute_dag(&monolithic, 1_000, 17);
+        let b = proxy.execute_dag(&monolithic, 1_000, 17);
+        let c = proxy.execute_dag(&streamed, 1_000, 17);
+        assert_eq!(a, b, "{}: repeated runs differ", proxy.name());
+        assert_eq!(a, c, "{}: streaming changed the execution", proxy.name());
         assert_eq!(
             proxy.execute_sample(1_000, 17).checksum,
             a.checksum,
@@ -92,39 +86,32 @@ fn random_dag(nodes: usize, picks: &[usize]) -> ProxyDag {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Satellite gate: for random acyclic topologies — not just the eight
-    /// curated workload DAGs — serial execution, the 8-worker
-    /// work-stealing scheduler and 8-worker chunked streaming must
-    /// produce byte-identical executions.
+    /// For random acyclic topologies — not just the eight curated
+    /// workload DAGs — monolithic and chunked streaming execution must
+    /// be byte-identical.
     #[test]
-    fn random_acyclic_dags_execute_identically_across_schedulers(
+    fn random_acyclic_dags_execute_identically_streamed_and_monolithic(
         nodes in 2usize..10,
         picks in prop::collection::vec(0usize..100_000, 1..24),
         elements in 64usize..800,
         seed in 0u64..100_000,
     ) {
         let dag = random_dag(nodes, &picks);
-        let serial = DagExecutor::new().execute(&dag, elements, seed);
-        let stealing = DagExecutor::new()
-            .with_max_parallel(8)
-            .execute(&dag, elements, seed);
+        let monolithic = DagExecutor::new().execute(&dag, elements, seed);
         let streamed = DagExecutor::new()
-            .with_max_parallel(8)
             .with_chunk_elements(Some(4096))
             .execute(&dag, elements, seed);
-        prop_assert_eq!(&serial, &stealing,
-            "work stealing changed the execution:\n{}", dag.describe());
-        prop_assert_eq!(&serial, &streamed,
+        prop_assert_eq!(&monolithic, &streamed,
             "chunked streaming changed the execution:\n{}", dag.describe());
     }
 }
 
-/// Every workload DAG schedules at least one stage with ≥ 2 concurrent
-/// edges when it branches, and the executor covers every component edge.
+/// The executor covers every component edge of every workload DAG, and a
+/// branching plan yields a branching DAG.
 #[test]
 fn dag_execution_covers_every_component_and_exposes_branch_width() {
-    let executor = DagExecutor::new().with_max_parallel(4);
-    let mut saw_wide_stage = false;
+    let executor = DagExecutor::new();
+    let mut saw_branching = false;
     for proxy in initial_proxies() {
         let run = proxy.execute_dag(&executor, 500, 3);
         assert_eq!(
@@ -135,21 +122,22 @@ fn dag_execution_covers_every_component_and_exposes_branch_width() {
         );
         if proxy.plan().is_branching() {
             assert!(
-                run.max_stage_width >= 2,
-                "{}: branching plan but no concurrent stage",
+                proxy.dag().is_branching(),
+                "{}: branching plan but a linear DAG",
                 proxy.name()
             );
-            saw_wide_stage = true;
+            saw_branching = true;
         }
     }
-    assert!(saw_wide_stage, "no workload exposed a parallel stage");
+    assert!(saw_branching, "no workload exposed a branching DAG");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Digest invariance holds for arbitrary seeds and element budgets,
-    /// not just the pinned ones.
+    /// not just the pinned ones, while `workers` concurrent cells share
+    /// one executor (and its sharded buffer pool) on a worker pool.
     #[test]
     fn dag_executor_digest_is_seedwise_parallelism_invariant(
         seed in 0u64..1_000,
@@ -165,10 +153,20 @@ proptest! {
             initial_parameters(workload.as_ref(), &cluster),
         );
         prop_assert!(proxy.plan().is_branching());
-        let serial = proxy.execute_dag(&DagExecutor::new(), elements, seed);
-        let parallel =
-            proxy.execute_dag(&DagExecutor::new().with_max_parallel(workers), elements, seed);
-        prop_assert_eq!(serial, parallel);
+        let shared = DagExecutor::new();
+        let runs: Vec<_> = (0..workers as u64).map(|_| std::sync::OnceLock::new()).collect();
+        WorkerPool::new(workers - 1).scope(|s| {
+            for (cell, slot) in runs.iter().enumerate() {
+                let (proxy, shared) = (&proxy, &shared);
+                s.spawn(move || {
+                    let _ = slot.set(proxy.execute_dag(shared, elements, seed + cell as u64));
+                });
+            }
+        });
+        for (cell, slot) in runs.into_iter().enumerate() {
+            let serial = proxy.execute_dag(&DagExecutor::new(), elements, seed + cell as u64);
+            prop_assert_eq!(slot.into_inner(), Some(serial));
+        }
     }
 }
 

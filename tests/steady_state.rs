@@ -1,8 +1,8 @@
 //! The no-spawn gate: a width-1 campaign runs its cells inline and
 //! builds no worker pool, and once a wider campaign has built its pool,
 //! later campaigns on the same runner must not spawn a single thread —
-//! the whole point of the persistent work-stealing pool is that workers
-//! are created once and reused across every cell of every campaign.
+//! the whole point of the persistent cell pool is that workers are
+//! created once and reused across every cell of every campaign.
 //!
 //! This lives in its own integration-test binary with one `#[test]` so
 //! the process-wide [`WorkerPool::total_threads_spawned`] counter cannot
@@ -15,9 +15,6 @@ use data_motif_proxy::workloads::WorkloadKind;
 
 #[test]
 fn steady_state_suite_runs_spawn_no_threads() {
-    // The process-global pool (chunked motif kernels share it) is built
-    // up front, so only campaign pools are counted below.
-    let _ = WorkerPool::global();
     let before = WorkerPool::total_threads_spawned();
 
     // `[executor] workers = 1` on a default-width runner: cells run on
