@@ -19,10 +19,6 @@
 //!   --profile-out <path>      enable kernel-execution profiling and dump
 //!                             the per-kind profile (JSON lines) after
 //!                             the run; results are unchanged
-//!   --chunk-elements <N>      stream sample executions in granule-aligned
-//!                             chunks of at most N elements (bounded peak
-//!                             RSS; results are unchanged; scenario
-//!                             [executor] chunk_elements wins for its run)
 //!   --store-shards <N>        segment count of a new --store (default 8;
 //!                             an existing store keeps its own count)
 //!   --population-size <N>     override (or create) the scenario's
@@ -65,7 +61,6 @@ struct Options {
     baseline: Option<String>,
     write_baseline: Option<String>,
     workers: Option<usize>,
-    chunk_elements: Option<usize>,
     store_shards: Option<usize>,
     expect_hit_ratio: Option<f64>,
     profile_out: Option<String>,
@@ -90,7 +85,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: campaign <scenario.toml> [--store <path>] [--store-shards <N>] \
          [--baseline <path>] [--write-baseline <path>] [--workers <N>] \
-         [--chunk-elements <N>] [--expect-hit-ratio <R>] [--profile-out <path>] \
+         [--expect-hit-ratio <R>] [--profile-out <path>] \
          [--population-size <N>] [--population-seed <S>] [--population-family <F>] \
          [--population-budget-secs <B>] [--describe-population]\n\
          \u{20}      campaign --compact-store <path>"
@@ -118,7 +113,6 @@ fn parse_args() -> Result<Options, ExitCode> {
         baseline: None,
         write_baseline: None,
         workers: None,
-        chunk_elements: None,
         store_shards: None,
         expect_hit_ratio: None,
         profile_out: None,
@@ -141,12 +135,6 @@ fn parse_args() -> Result<Options, ExitCode> {
             "--baseline" => options.baseline = Some(value_for("--baseline")?),
             "--write-baseline" => options.write_baseline = Some(value_for("--write-baseline")?),
             "--workers" => options.workers = Some(positive("--workers", value_for("--workers")?)?),
-            "--chunk-elements" => {
-                options.chunk_elements = Some(positive(
-                    "--chunk-elements",
-                    value_for("--chunk-elements")?,
-                )?)
-            }
             "--store-shards" => {
                 options.store_shards =
                     Some(positive("--store-shards", value_for("--store-shards")?)?)
@@ -348,9 +336,6 @@ fn main() -> ExitCode {
     let mut runner = CampaignRunner::with_store(store);
     if let Some(workers) = options.workers {
         runner = runner.with_workers(workers);
-    }
-    if options.chunk_elements.is_some() {
-        runner = runner.with_chunk_elements(options.chunk_elements);
     }
     if options.profile_out.is_some() {
         runner = runner.with_kernel_profiling(true);

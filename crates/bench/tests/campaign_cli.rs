@@ -86,7 +86,7 @@ clusters = ["five-node-westmere"]
 #[test]
 fn zero_is_rejected_for_every_positive_integer_flag() {
     let path = scenario_file("zero-flags", FULLY_FILTERED);
-    for flag in ["--workers", "--chunk-elements", "--store-shards"] {
+    for flag in ["--workers", "--store-shards"] {
         let output = campaign()
             .arg(&path)
             .args([flag, "0"])

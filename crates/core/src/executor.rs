@@ -8,29 +8,24 @@
 //! cells share one executor (its kernel objects are stateless and its
 //! [`BufferPool`] is sharded per pool worker).
 //!
-//! # One edge body: a chunk stream
+//! # One edge body: a loop over granules
 //!
-//! Every edge executes as a generate→execute→reduce **stream** of
-//! granule-aligned chunks of `chunk_elements` elements (the whole edge
-//! when [`DagExecutor::with_chunk_elements`] is unset).  An unchunked
-//! edge is the one-chunk stream, which is exactly
-//! [`MotifKernel::execute`]; a set chunk size bounds peak RSS by one
-//! chunk's scratch instead of the edge's total element count — how
-//! 10^8-element cells run in constant memory.  The chunk reduce is an
-//! exactly associative monoid ([`ChunkState`]), so digests are equal at
-//! every chunk size by construction.
+//! Every edge runs as [`MotifKernel::execute`]: one loop over the
+//! edge's 4096-element granules.  Each granule body leases its scratch
+//! from the [`BufferPool`] and returns it before the next granule, so
+//! peak RSS is bounded by one granule's scratch whatever the edge's
+//! element count — how 10^7-element cells run in a few megabytes.
 //!
 //! # Profiling
 //!
-//! The chunk loop is instrumented for the global [`KernelProfiler`]:
-//! when sampling is enabled (one relaxed load per execution when it is
-//! not), every chunk records its kind, element count and wall time — one
-//! record per edge when unchunked.
+//! Execution is instrumented for the global [`KernelProfiler`]: when
+//! sampling is enabled (one relaxed load per execution when it is not),
+//! every edge records its kind, element count and wall time.
 //!
 //! # Determinism
 //!
-//! The executor's output is byte-identical across chunk sizes, repeated
-//! runs and concurrent cells sharing it:
+//! The executor's output is byte-identical across repeated runs and
+//! concurrent cells sharing it:
 //!
 //! * every edge's kernel seed is **derived** from the execution seed and
 //!   the edge's *topological index* via [`derive_seed`];
@@ -41,11 +36,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use dmpb_datagen::chunks::align_chunk_elements;
 use dmpb_datagen::rng::derive_seed;
-use dmpb_motifs::{
-    BufferPool, ChunkState, KernelProfiler, MotifKernel, MotifKind, MotifRegistry, WorkerPool,
-};
+use dmpb_motifs::{BufferPool, KernelProfiler, MotifKernel, MotifKind, MotifRegistry, WorkerPool};
 
 use crate::dag::ProxyDag;
 
@@ -87,12 +79,11 @@ impl DagExecution {
 /// [module documentation](self)).
 #[derive(Debug, Default)]
 pub struct DagExecutor {
-    chunk_elements: Option<usize>,
     pool: BufferPool,
 }
 
 impl DagExecutor {
-    /// An unchunked executor with a fresh buffer pool.
+    /// An executor with a fresh buffer pool.
     pub fn new() -> Self {
         Self::default()
     }
@@ -114,26 +105,12 @@ impl DagExecutor {
         self
     }
 
-    /// Sets (`Some`) or clears (`None`, the default) the streaming chunk
-    /// size.
-    ///
-    /// Every edge runs generate→execute→reduce per chunk of at most
-    /// `chunk_elements` elements (rounded up to a whole number of
-    /// granules via [`align_chunk_elements`]); unset, an edge is one
-    /// chunk of all its elements.  Chunks run one at a time, so peak RSS
-    /// is bounded by one chunk's scratch regardless of the edge's total
-    /// element count.  The chunk size never changes a digest (the chunk
-    /// reduce is an exactly associative monoid; see [`ChunkState`]),
-    /// making `chunk_elements` a pure performance/RSS knob.
-    pub fn with_chunk_elements(mut self, chunk_elements: Option<usize>) -> Self {
-        self.chunk_elements = chunk_elements.map(align_chunk_elements);
+    /// Retired: every edge is one loop over its granules, which already
+    /// bounds peak RSS.  Ignores `chunk_elements`.
+    #[deprecated(note = "granules bound peak RSS; there is no chunk size to set")]
+    #[doc(hidden)]
+    pub fn with_chunk_elements(self, _chunk_elements: Option<usize>) -> Self {
         self
-    }
-
-    /// The configured streaming chunk size, if streaming is enabled
-    /// (normalised to a granule multiple).
-    pub fn chunk_elements(&self) -> Option<usize> {
-        self.chunk_elements
     }
 
     /// The shared intermediate-buffer pool kernels lease scratch storage
@@ -190,11 +167,8 @@ impl DagExecutor {
         }
     }
 
-    /// Runs one edge's `n`-element kernel as a generate→execute→reduce
-    /// stream of chunks of `chunk_elements` elements (one chunk of `n`
-    /// when unset), folding each chunk's [`ChunkState`] into the edge
-    /// digest.  When profiling, each chunk records its own sample (one
-    /// `Instant` pair per chunk).
+    /// Runs one edge's `n`-element kernel and returns its checksum,
+    /// recording one profiler sample for the edge when `profiling`.
     fn execute_edge(
         &self,
         kernel: &'static dyn MotifKernel,
@@ -202,22 +176,13 @@ impl DagExecutor {
         seed: u64,
         profiling: bool,
     ) -> u64 {
-        let motif = kernel.kind();
-        let chunk = self.chunk_elements.unwrap_or(n).max(1);
-        let mut state = ChunkState::IDENTITY;
-        for start in (0..n).step_by(chunk) {
-            let end = (start + chunk).min(n);
-            let chunk_state = if profiling {
-                let t = Instant::now();
-                let chunk_state = kernel.execute_chunk(start, end, n, seed, &self.pool);
-                KernelProfiler::global().record(motif, end - start, t.elapsed());
-                chunk_state
-            } else {
-                kernel.execute_chunk(start, end, n, seed, &self.pool)
-            };
-            state.merge(&chunk_state);
+        if !profiling {
+            return kernel.execute(n, seed, &self.pool);
         }
-        state.finalize(motif)
+        let t = Instant::now();
+        let checksum = kernel.execute(n, seed, &self.pool);
+        KernelProfiler::global().record(kernel.kind(), n, t.elapsed());
+        checksum
     }
 }
 
@@ -281,37 +246,6 @@ mod tests {
         // Normal cells keep the 16-element floor on low-weight edges.
         let run = DagExecutor::new().execute(&diamond(), 512, 7);
         assert!(run.edge_runs.iter().all(|r| r.elements >= 16));
-    }
-
-    #[test]
-    fn streamed_execution_is_digest_identical_to_monolithic() {
-        let dag = diamond();
-        let monolithic = DagExecutor::new().execute(&dag, 10_000, 42);
-        for chunk in [1, 4096, 3 * 4096, 1 << 20] {
-            let streamed = DagExecutor::new()
-                .with_chunk_elements(Some(chunk))
-                .execute(&dag, 10_000, 42);
-            assert_eq!(
-                streamed, monolithic,
-                "streaming must be invisible (chunk={chunk})"
-            );
-        }
-    }
-
-    #[test]
-    fn chunk_elements_is_normalised_to_granule_multiples() {
-        let executor = DagExecutor::new().with_chunk_elements(Some(1));
-        assert_eq!(executor.chunk_elements(), Some(4096));
-        let executor = DagExecutor::new().with_chunk_elements(Some(5000));
-        assert_eq!(executor.chunk_elements(), Some(8192));
-        assert_eq!(DagExecutor::new().chunk_elements(), None);
-        assert_eq!(
-            DagExecutor::new()
-                .with_chunk_elements(Some(4096))
-                .with_chunk_elements(None)
-                .chunk_elements(),
-            None
-        );
     }
 
     /// Concurrent cells share one executor: executions running at once

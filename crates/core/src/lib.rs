@@ -33,7 +33,7 @@
 //! fork/join topology becomes a branching [`dag::ProxyDag`], and the
 //! serial [`executor::DagExecutor`] runs its motif kernels in topological
 //! order through the motif-kernel registry, with per-edge derived seeds
-//! keeping digests byte-identical across chunk sizes and runs.
+//! keeping digests byte-identical across runs.
 //!
 //! [`runner`] holds the per-cell building blocks the scenario campaign
 //! engine (`dmpb-scenario`) drives — the one path a proxy is tuned and

@@ -315,18 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_does_not_change_the_execution_checksum() {
-        let run = |executor: &DagExecutor| {
-            ProxyRun::execute(terasort().clone(), executor, SAMPLE_ELEMENTS, 7).execution
-        };
-        assert_eq!(
-            run(&DagExecutor::new()),
-            run(&DagExecutor::new().with_chunk_elements(Some(4096))),
-            "chunked streaming must be a pure memory/performance axis"
-        );
-    }
-
-    #[test]
     fn cache_hit_returns_identical_parameters_to_a_fresh_tune() {
         let generator = ProxyGenerator::new(ClusterConfig::five_node_westmere());
         let cache = TuningCache::new();

@@ -1,35 +1,26 @@
-//! Chunked (streaming) generation plumbing shared by every generator.
+//! The granule grid shared by every generator and motif kernel.
 //!
-//! Production-scale cells run over 10^8+ elements; materialising such a
+//! Production-scale cells run over 10^7+ elements; materialising such a
 //! data set whole would pin gigabytes of RSS.  Instead, every generator in
 //! this crate addresses its logical data set in fixed **granules** of
 //! [`CHUNK_GRANULE`] elements: granule `g` of a data set seeded with `s`
 //! is always generated from the derived stream
 //! [`granule_seed`]`(s, g)` — regardless of how much of the data set is
 //! materialised at once, by whom, or in which order.  That single property
-//! gives the whole stack its streaming invariant:
+//! gives the whole stack two guarantees:
 //!
-//! * **byte identity** — generating a data set in one call, in arbitrary
-//!   granule-aligned chunks, or granule by granule on different worker
-//!   threads produces the same bytes once concatenated, because each
-//!   granule's RNG stream depends only on `(seed, granule index)`;
-//! * **constant peak RSS** — a consumer holds at most one chunk of
-//!   storage per in-flight task, never the full data set;
-//! * **chunk-count independence** — a 10^8-element cell split into
-//!   1 chunk, 25 chunks or 25,000 chunks is the *same* logical data set.
-//!
-//! Chunks handed to the executor are granule-aligned:
-//! [`align_chunk_elements`] rounds a requested chunk size up to a whole
-//! number of granules, and [`chunk_ranges`] splits `[0, total)` at
-//! granule multiples (only the final chunk may be partial).  Kernel-side
-//! work units mirror the same granule grid (see `dmpb_motifs`), which is
-//! what keeps per-granule kernel outcomes — and therefore execution
-//! digests — identical across every tested chunk size.
+//! * **byte identity** — generating a data set in one call or in
+//!   arbitrary granule-aligned ranges produces the same bytes once
+//!   concatenated, because each granule's RNG stream depends only on
+//!   `(seed, granule index)`;
+//! * **constant peak RSS** — a consumer that works one granule at a time,
+//!   as every motif kernel does (see `dmpb_motifs`), holds one granule of
+//!   storage, never the full data set.
 
 use crate::rng::derive_seed;
 
 /// The fixed granule size, in elements, shared by every generator and by
-/// the motif kernels' chunk-local work units.
+/// the motif kernels' granule-local work units.
 ///
 /// 4096 is large enough that per-granule seeding and dispatch amortise
 /// (a text granule is 400 KiB of records) and that granule-local inner
@@ -38,106 +29,14 @@ use crate::rng::derive_seed;
 pub const CHUNK_GRANULE: usize = 4096;
 
 /// The derived RNG seed of granule `granule` of a data set seeded with
-/// `seed` (an alias of [`derive_seed`] naming the streaming convention).
+/// `seed` (an alias of [`derive_seed`] naming the granule convention).
 pub fn granule_seed(seed: u64, granule: u64) -> u64 {
     derive_seed(seed, granule)
-}
-
-/// Number of granules covering `total` elements (0 for an empty set).
-pub fn granule_count(total: usize) -> usize {
-    total.div_ceil(CHUNK_GRANULE)
-}
-
-/// The element range `[start, end)` of granule `granule` within a
-/// `total`-element data set.  Every granule spans exactly
-/// [`CHUNK_GRANULE`] elements except the last, which may be partial.
-pub fn granule_range(total: usize, granule: usize) -> (usize, usize) {
-    let start = granule * CHUNK_GRANULE;
-    (start.min(total), (start + CHUNK_GRANULE).min(total))
-}
-
-/// Rounds a requested chunk size up to a whole number of granules
-/// (minimum one granule), the alignment the streaming executor requires
-/// so that chunk boundaries never split a granule.
-pub fn align_chunk_elements(requested: usize) -> usize {
-    granule_count(requested.max(1)) * CHUNK_GRANULE
-}
-
-/// Iterator over the granule-aligned chunk ranges covering `[0, total)`.
-#[derive(Debug, Clone)]
-pub struct ChunkRanges {
-    total: usize,
-    chunk: usize,
-    next: usize,
-}
-
-impl Iterator for ChunkRanges {
-    type Item = (usize, usize);
-
-    fn next(&mut self) -> Option<(usize, usize)> {
-        if self.next >= self.total {
-            return None;
-        }
-        let start = self.next;
-        let end = (start + self.chunk).min(self.total);
-        self.next = end;
-        Some((start, end))
-    }
-}
-
-/// Splits `[0, total)` into chunks of `chunk_elements` (aligned up via
-/// [`align_chunk_elements`]); only the final chunk may be smaller.
-pub fn chunk_ranges(total: usize, chunk_elements: usize) -> ChunkRanges {
-    ChunkRanges {
-        total,
-        chunk: align_chunk_elements(chunk_elements),
-        next: 0,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn alignment_rounds_up_to_whole_granules() {
-        assert_eq!(align_chunk_elements(0), CHUNK_GRANULE);
-        assert_eq!(align_chunk_elements(1), CHUNK_GRANULE);
-        assert_eq!(align_chunk_elements(CHUNK_GRANULE), CHUNK_GRANULE);
-        assert_eq!(align_chunk_elements(CHUNK_GRANULE + 1), 2 * CHUNK_GRANULE);
-    }
-
-    #[test]
-    fn granule_ranges_tile_the_data_set() {
-        let total = 3 * CHUNK_GRANULE + 17;
-        assert_eq!(granule_count(total), 4);
-        let mut covered = 0;
-        for g in 0..granule_count(total) {
-            let (start, end) = granule_range(total, g);
-            assert_eq!(start, covered);
-            assert!(end - start <= CHUNK_GRANULE);
-            covered = end;
-        }
-        assert_eq!(covered, total);
-        assert_eq!(granule_count(0), 0);
-    }
-
-    #[test]
-    fn chunk_ranges_cover_exactly_once_and_align_to_granules() {
-        for requested in [1, 100, CHUNK_GRANULE, 3 * CHUNK_GRANULE - 5] {
-            let total = 10 * CHUNK_GRANULE + 123;
-            let ranges: Vec<_> = chunk_ranges(total, requested).collect();
-            let mut covered = 0;
-            for &(start, end) in &ranges {
-                assert_eq!(start, covered);
-                assert!(start % CHUNK_GRANULE == 0, "chunk start splits a granule");
-                assert!(end == total || end % CHUNK_GRANULE == 0);
-                covered = end;
-            }
-            assert_eq!(covered, total);
-        }
-        assert_eq!(chunk_ranges(0, 64).count(), 0);
-    }
 
     #[test]
     fn granule_seeds_depend_only_on_seed_and_index() {

@@ -110,11 +110,6 @@ impl ImageTensor {
         &self.data
     }
 
-    /// Mutable flat backing data.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Linear index of element `(n, c, h, w)` under the tensor's layout.
     ///
     /// # Panics

@@ -21,8 +21,8 @@
 //! * [`distributions`] — uniform / gaussian / zipf samplers used by all of
 //!   the above;
 //! * [`chunks`] — the granule grid every generator addresses its data set
-//!   on, enabling streaming (chunk-at-a-time) generation that is
-//!   byte-identical to the monolithic path;
+//!   on, so generating any granule-aligned range is byte-identical to
+//!   the matching slice of the whole data set;
 //! * [`descriptor`] — a compact [`descriptor::DataDescriptor`] summarising
 //!   the generated data, consumed by the motif cost models so that the
 //!   performance model sees exactly the data the kernels operate on.
@@ -51,6 +51,6 @@ pub mod rng;
 pub mod text;
 pub mod vectors;
 
-pub use chunks::{align_chunk_elements, chunk_ranges, granule_seed, CHUNK_GRANULE};
+pub use chunks::{granule_seed, CHUNK_GRANULE};
 pub use descriptor::{DataClass, DataDescriptor, Distribution};
 pub use rng::seeded_rng;

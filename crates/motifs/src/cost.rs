@@ -82,8 +82,8 @@ fn big_data_cost_profile(
     let elements = data.element_count() as f64;
     let element_bytes = data.element_bytes as f64;
     let density = (1.0 - data.sparsity).max(0.0);
-    let chunk_elements = (config.chunk_bytes as f64 / element_bytes).max(2.0);
-    let log_chunk = chunk_elements.log2().max(1.0);
+    let chunk_len = (config.chunk_bytes as f64 / element_bytes).max(2.0);
+    let log_chunk = chunk_len.log2().max(1.0);
     // Streaming working set: what the tasks keep in flight at once.
     let stream_ws = (config.chunk_bytes * u64::from(config.num_tasks))
         .min(data.total_bytes.max(1))

@@ -16,22 +16,17 @@
 //!   instead of re-allocating per granule — without contending on a
 //!   global free-list lock when concurrent cells share an executor.
 //!
-//! # Streaming execution model
+//! # Granule execution model
 //!
 //! Every kernel's logical input is addressed on the granule grid defined
 //! by `dmpb_datagen::chunks`: granule `g` of an `n`-element input covers
 //! global elements `[g * CHUNK_GRANULE, (g + 1) * CHUNK_GRANULE).min(n)`
 //! and is generated from the derived seed `granule_seed(seed, g)`.
-//! [`MotifKernel::execute_granule`] maps one granule to a `u64` outcome;
-//! [`MotifKernel::execute_chunk`] folds a granule-aligned chunk of
-//! outcomes into a [`ChunkState`]; and [`ChunkState`] is an exactly
-//! associative, commutative monoid (counts, xor, wrapping sum, min,
-//! max over granule outcomes — no floating-point accumulation), so chunk
-//! states merged in **any** grouping and order finalize to the same
-//! digest.  Monolithic execution ([`MotifKernel::execute`]) is just the
-//! single-chunk case, which is what makes chunked streaming execution
-//! digest-identical to monolithic execution *by construction*, for every
-//! chunk size and worker count.
+//! [`MotifKernel::execute_granule`] maps one granule to a `u64` outcome,
+//! and [`MotifKernel::execute`] loops over the granules from 0, folding
+//! each outcome into an exact integer reduce state (counts, xor, wrapping
+//! sum, min, max — no floating-point accumulation) that it finalizes
+//! into the execution digest.
 //!
 //! Granule bodies are deliberately granule-local — fixed-size buffers,
 //! index-arithmetic fills, no cross-granule state — which keeps peak RSS
@@ -46,8 +41,8 @@
 //! of maintaining their own `match motif { … }` blocks.
 //!
 //! Execution is deterministic: a kernel's digest depends only on `(n,
-//! seed)`, never on pool state, chunking or thread scheduling (leased
-//! buffers are zero-filled; see [`crate::pool`]).
+//! seed)`, never on pool state or thread scheduling (leased buffers are
+//! zero-filled; see [`crate::pool`]).
 
 use std::sync::OnceLock;
 
@@ -112,7 +107,7 @@ fn hash_f64s<I: IntoIterator<Item = f64>>(values: I) -> u64 {
     h
 }
 
-// --- Granule execution context and the chunk-reduce monoid ---------------
+// --- Granule execution context and the granule reduce --------------------
 
 /// The execution context of one granule of a motif's logical input.
 ///
@@ -120,8 +115,8 @@ fn hash_f64s<I: IntoIterator<Item = f64>>(values: I) -> u64 {
 /// `[start, end)` of an `total`-element input (only the input's last
 /// granule may be partial).  Granule bodies address their data through
 /// **global** element indices (`start + i`) and the granule-derived
-/// [`seed`](GranuleCtx::seed), which is what makes a granule's outcome
-/// independent of how the input was chunked.
+/// [`seed`](GranuleCtx::seed), so a granule's outcome depends only on its
+/// position in the input.
 #[derive(Debug, Clone, Copy)]
 pub struct GranuleCtx {
     /// Global index of the granule's first element.
@@ -143,46 +138,38 @@ impl GranuleCtx {
     }
 
     /// Whether the granule is empty (never, for granules the default
-    /// [`MotifKernel::execute_chunk`] constructs).
+    /// [`MotifKernel::execute`] constructs).
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
-
-    /// The granule's index on the input's granule grid.
-    pub fn index(&self) -> u64 {
-        (self.start / CHUNK_GRANULE) as u64
-    }
 }
 
-/// The associative reduce state of chunked motif execution.
+/// The reduce state of one kernel execution.
 ///
-/// A `ChunkState` summarises any set of granule outcomes with exactly
-/// associative, commutative integer folds: granule/element counts, a
-/// position-salted xor, a wrapping sum and min/max of the outcomes.  No
-/// floating-point accumulation crosses granules (float addition is not
-/// bit-associative), so [`merge`](ChunkState::merge)-ing chunk states in
-/// any grouping and order — one chunk per granule, one chunk for the
-/// whole input, or anything between, reduced on any number of workers —
-/// [`finalize`](ChunkState::finalize)s to the same digest.
+/// A `ChunkState` summarises the granule outcomes with exact integer
+/// folds: granule/element counts, a position-salted xor, a wrapping sum
+/// and min/max of the outcomes.  No floating-point accumulation crosses
+/// granules, and [`finalize`](ChunkState::finalize) hashes the folds into
+/// the execution digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkState {
+pub(crate) struct ChunkState {
     /// Number of granules folded in.
-    pub granules: u64,
+    granules: u64,
     /// Number of input elements folded in.
-    pub elements: u64,
+    elements: u64,
     /// Xor of granule outcomes, each rotated by its granule index.
-    pub xor: u64,
+    xor: u64,
     /// Wrapping sum of granule outcomes.
-    pub sum: u64,
+    sum: u64,
     /// Minimum granule outcome (`u64::MAX` for the identity).
-    pub min: u64,
+    min: u64,
     /// Maximum granule outcome (0 for the identity).
-    pub max: u64,
+    max: u64,
 }
 
 impl ChunkState {
-    /// The monoid identity: merging it into any state is a no-op.
-    pub const IDENTITY: ChunkState = ChunkState {
+    /// The empty state, before any granule is folded in.
+    pub(crate) const IDENTITY: ChunkState = ChunkState {
         granules: 0,
         elements: 0,
         xor: 0,
@@ -192,7 +179,7 @@ impl ChunkState {
     };
 
     /// Folds one granule's outcome into the state.
-    pub fn absorb(&mut self, granule_index: u64, elements: usize, outcome: u64) {
+    pub(crate) fn absorb(&mut self, granule_index: u64, elements: usize, outcome: u64) {
         self.granules += 1;
         self.elements += elements as u64;
         // Salt the xor with the granule's position so equal outcomes at
@@ -203,19 +190,8 @@ impl ChunkState {
         self.max = self.max.max(outcome);
     }
 
-    /// Merges another chunk's state into this one (associative and
-    /// commutative).
-    pub fn merge(&mut self, other: &ChunkState) {
-        self.granules += other.granules;
-        self.elements += other.elements;
-        self.xor ^= other.xor;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Folds the state into the motif's execution digest.
-    pub fn finalize(&self, kind: MotifKind) -> u64 {
+    pub(crate) fn finalize(&self, kind: MotifKind) -> u64 {
         hash_u64s([
             kind as u64,
             self.granules,
@@ -232,8 +208,8 @@ impl ChunkState {
 ///
 /// Implementations are stateless singletons owned by the [`MotifRegistry`];
 /// all per-invocation state lives in the arguments (and the leased pool
-/// buffers), which is what makes concurrent execution of independent DAG
-/// branches — and of independent chunks of one edge — safe.
+/// buffers), which is what makes concurrent cells sharing one executor
+/// safe.
 pub trait MotifKernel: Send + Sync + std::fmt::Debug {
     /// Which motif implementation this kernel realises.
     fn kind(&self) -> MotifKind;
@@ -251,60 +227,25 @@ pub trait MotifKernel: Send + Sync + std::fmt::Debug {
     /// or scheduling.
     fn execute_granule(&self, g: &GranuleCtx, pool: &BufferPool) -> u64;
 
-    /// Executes the granule-aligned chunk `[start, end)` of an
-    /// `total`-element input seeded with `seed`, folding every granule's
-    /// outcome into a [`ChunkState`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is not granule-aligned, or if `end` is neither
-    /// granule-aligned nor the end of the input.
-    fn execute_chunk(
-        &self,
-        start: usize,
-        end: usize,
-        total: usize,
-        seed: u64,
-        pool: &BufferPool,
-    ) -> ChunkState {
-        assert!(
-            start <= end && end <= total,
-            "invalid chunk {start}..{end} of {total}"
-        );
-        assert!(
-            start % CHUNK_GRANULE == 0,
-            "chunk start {start} splits a granule"
-        );
-        assert!(
-            end % CHUNK_GRANULE == 0 || end == total,
-            "chunk end {end} splits a granule"
-        );
+    /// Really executes the scaled-down sample kernel over `n` generated
+    /// elements seeded with `seed`, one granule at a time from granule 0,
+    /// leasing scratch storage from `pool`, and returns the execution
+    /// digest.
+    fn execute(&self, n: usize, seed: u64, pool: &BufferPool) -> u64 {
         let mut state = ChunkState::IDENTITY;
-        let mut cursor = start;
-        while cursor < end {
-            let index = (cursor / CHUNK_GRANULE) as u64;
+        for start in (0..n).step_by(CHUNK_GRANULE) {
+            let index = (start / CHUNK_GRANULE) as u64;
             let g = GranuleCtx {
-                start: cursor,
-                end: (cursor + CHUNK_GRANULE).min(end),
-                total,
+                start,
+                end: (start + CHUNK_GRANULE).min(n),
+                total: n,
                 dataset_seed: seed,
                 seed: granule_seed(seed, index),
             };
             let outcome = self.execute_granule(&g, pool);
             state.absorb(index, g.len(), outcome);
-            cursor = g.end;
         }
-        state
-    }
-
-    /// Really executes the scaled-down sample kernel over `n` generated
-    /// elements, leasing scratch storage from `pool`, and returns the
-    /// execution digest.  Defined as the single-chunk case of
-    /// [`execute_chunk`](Self::execute_chunk), so it is digest-identical
-    /// to any chunked execution of the same `(n, seed)` by construction.
-    fn execute(&self, n: usize, seed: u64, pool: &BufferPool) -> u64 {
-        self.execute_chunk(0, n, n, seed, pool)
-            .finalize(self.kind())
+        state.finalize(self.kind())
     }
 }
 
@@ -793,88 +734,6 @@ mod tests {
             let warm = registry.kernel(kind).execute(200, 9, &warm_pool);
             assert_eq!(fresh, warm, "{kind} checksum depends on pool state");
         }
-    }
-
-    /// The streaming identity: for every motif kind, executing the input
-    /// as granule-aligned chunks of any size reduces to exactly the
-    /// monolithic digest.
-    #[test]
-    fn chunked_execution_is_digest_identical_for_every_kind() {
-        let registry = MotifRegistry::global();
-        let pool = BufferPool::new();
-        let total = 2 * CHUNK_GRANULE + 700;
-        for kind in MotifKind::ALL {
-            let kernel = registry.kernel(kind);
-            let monolithic = kernel.execute(total, 5, &pool);
-            for chunk in [CHUNK_GRANULE, 2 * CHUNK_GRANULE, 4 * CHUNK_GRANULE] {
-                let mut state = ChunkState::IDENTITY;
-                let mut start = 0;
-                while start < total {
-                    let end = (start + chunk).min(total);
-                    state.merge(&kernel.execute_chunk(start, end, total, 5, &pool));
-                    start = end;
-                }
-                assert_eq!(
-                    state.finalize(kind),
-                    monolithic,
-                    "{kind} chunked digest diverges at chunk={chunk}"
-                );
-            }
-        }
-    }
-
-    /// Chunk states merge associatively and commutatively: any merge
-    /// order of the same chunks finalizes identically.
-    #[test]
-    fn chunk_state_merge_is_order_invariant() {
-        let kernel = MotifRegistry::global().kernel(MotifKind::QuickSort);
-        let pool = BufferPool::new();
-        let total = 3 * CHUNK_GRANULE + 100;
-        let chunks: Vec<ChunkState> = (0..4)
-            .map(|i| {
-                let start = i * CHUNK_GRANULE;
-                let end = ((i + 1) * CHUNK_GRANULE).min(total);
-                kernel.execute_chunk(start, end, total, 8, &pool)
-            })
-            .collect();
-        let mut forward = ChunkState::IDENTITY;
-        for c in &chunks {
-            forward.merge(c);
-        }
-        let mut reverse = ChunkState::IDENTITY;
-        for c in chunks.iter().rev() {
-            reverse.merge(c);
-        }
-        // Pairwise tree reduction, as a parallel reducer would produce.
-        let mut left = chunks[0];
-        left.merge(&chunks[1]);
-        let mut right = chunks[2];
-        right.merge(&chunks[3]);
-        let mut tree = ChunkState::IDENTITY;
-        tree.merge(&left);
-        tree.merge(&right);
-        assert_eq!(forward, reverse);
-        assert_eq!(forward, tree);
-        assert_eq!(
-            forward.finalize(MotifKind::QuickSort),
-            tree.finalize(MotifKind::QuickSort)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "splits a granule")]
-    fn execute_chunk_rejects_unaligned_start() {
-        let kernel = MotifRegistry::global().kernel(MotifKind::MinMax);
-        let pool = BufferPool::new();
-        let _ = kernel.execute_chunk(100, CHUNK_GRANULE, 2 * CHUNK_GRANULE, 1, &pool);
-    }
-
-    #[test]
-    #[should_panic(expected = "splits a granule")]
-    fn execute_chunk_rejects_unaligned_interior_end() {
-        let kernel = MotifRegistry::global().kernel(MotifKind::MinMax);
-        let pool = BufferPool::new();
-        let _ = kernel.execute_chunk(0, 100, 2 * CHUNK_GRANULE, 1, &pool);
     }
 
     #[test]

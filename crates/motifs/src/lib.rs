@@ -48,7 +48,7 @@ pub mod workers;
 
 pub use class::{MotifClass, MotifKind};
 pub use config::MotifConfig;
-pub use kernel::{ChunkState, GranuleCtx, MotifKernel, MotifRegistry};
+pub use kernel::{GranuleCtx, MotifKernel, MotifRegistry};
 pub use pool::BufferPool;
 pub use profile::{KernelProfile, KernelProfiler};
 pub use topology::{DagPlan, PlanEdge};

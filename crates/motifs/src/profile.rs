@@ -14,7 +14,8 @@
 //!
 //! * **Near-zero overhead when disabled.**  The executor hoists one
 //!   relaxed [`KernelProfiler::enabled`] load per DAG execution; disabled
-//!   runs take no timestamps and touch no counters.
+//!   runs take no timestamps and touch no counters.  Enabled runs record
+//!   once per DAG edge.
 //! * **Lock-free when enabled.**  Recording is a handful of relaxed
 //!   atomic adds on a `#[repr(align(128))]` slot owned by the executed
 //!   kind, so concurrent workers executing different motifs never share
@@ -128,7 +129,7 @@ impl KernelProfiler {
         }
     }
 
-    /// Records one kernel execution.  Callers check
+    /// Records one kernel execution (one DAG edge).  Callers check
     /// [`KernelProfiler::enabled`] first (and so avoid taking the
     /// timestamp at all when sampling is off).
     pub fn record(&self, kind: MotifKind, elements: usize, elapsed: Duration) {

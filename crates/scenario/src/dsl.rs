@@ -26,9 +26,6 @@
 //!
 //! [executor]                      # optional: campaign execution policy
 //! workers = 8                     # worker-pool width for cell batching
-//! chunk_elements = 1_000_000      # stream sample executions in chunks of
-//!                                 # at most this many elements (bounded
-//!                                 # RSS; digests are unchanged)
 //!
 //! [population]                    # optional: sweep a seeded population of
 //! size = 128                      # synthesized workloads alongside (or
@@ -123,10 +120,6 @@ pub struct Scenario {
     pub tuning_cluster: Option<String>,
     /// Worker-pool width for batching cells (None = the runner default).
     pub workers: Option<usize>,
-    /// Streaming chunk size in elements for every cell's sample execution
-    /// (None = monolithic execution).  Granule-aligned by the executor;
-    /// digests are identical for any setting.
-    pub chunk_elements: Option<usize>,
     /// Keep-only filters (a cell must match at least one, if any exist).
     pub include: Vec<CellFilter>,
     /// Drop filters (a cell matching any is dropped).
@@ -151,7 +144,6 @@ impl Scenario {
             seeds: vec![dmpb_core::runner::DEFAULT_BASE_SEED],
             tuning_cluster: None,
             workers: None,
-            chunk_elements: None,
             include: Vec::new(),
             exclude: Vec::new(),
             population: None,
@@ -430,10 +422,6 @@ impl Document {
                 "workers" => match value {
                     Value::Int(n) if *n > 0 => scenario.workers = Some(*n as usize),
                     _ => return err(*line, "`workers` must be a positive integer"),
-                },
-                "chunk_elements" => match value {
-                    Value::Int(n) if *n > 0 => scenario.chunk_elements = Some(*n as usize),
-                    _ => return err(*line, "`chunk_elements` must be a positive integer"),
                 },
                 other => return err(*line, format!("unknown [executor] key `{other}`")),
             }
@@ -892,7 +880,6 @@ mod tests {
         assert_eq!(s.seeds, vec![dmpb_core::runner::DEFAULT_BASE_SEED]);
         assert_eq!(s.tuning_cluster, None);
         assert_eq!(s.workers, None);
-        assert_eq!(s.chunk_elements, None);
     }
 
     #[test]
@@ -913,7 +900,6 @@ mod tests {
 
             [executor]
             workers = 4
-            chunk_elements = 1_000_000
 
             [[exclude]]
             workload = "Spark-TeraSort"   # no paper numbers
@@ -932,7 +918,6 @@ mod tests {
         assert_eq!(s.seeds, vec![0x00D4_17A4_0F1F, 42]);
         assert_eq!(s.tuning_cluster.as_deref(), Some("five-node-westmere"));
         assert_eq!(s.workers, Some(4));
-        assert_eq!(s.chunk_elements, Some(1_000_000));
         assert_eq!(s.exclude.len(), 1);
         assert_eq!(s.exclude[0].workload, Some(WorkloadKind::SparkTeraSort));
         assert_eq!(s.exclude[0].architecture.as_deref(), Some("haswell"));
@@ -1020,12 +1005,8 @@ mod tests {
                 "duplicate filter key `seed`",
             ),
             (
-                "[scenario]\nname = \"x\"\n[executor]\nchunk_elements = 0",
-                "`chunk_elements` must be a positive integer",
-            ),
-            (
-                "[scenario]\nname = \"x\"\n[executor]\nchunk_elements = \"big\"",
-                "`chunk_elements` must be a positive integer",
+                "[scenario]\nname = \"x\"\n[executor]\nchunk_elements = 4096",
+                "unknown [executor] key",
             ),
         ] {
             let e = Scenario::parse(src).unwrap_err();

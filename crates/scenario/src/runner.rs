@@ -6,9 +6,9 @@
 //! misses the store is tuned through the runner's single
 //! [`TuningCache`] — keyed on the tuning cluster, so eight cells of one
 //! suite slice share eight tunes, a second seed or element-count axis
-//! value re-tunes nothing, and a streamed campaign reuses a monolithic
-//! one's tunes — and its DAG runs on a serial [`DagExecutor`], one per
-//! streaming chunk setting.  Cells are the unit of parallelism: a wide
+//! value re-tunes nothing, and a later campaign reuses an earlier one's
+//! tunes — and its DAG runs on the runner's one serial [`DagExecutor`].
+//! Cells are the unit of parallelism: a wide
 //! campaign fans them out over one lazily built [`WorkerPool`], and a
 //! width-1 campaign runs them inline and builds no pool at all.
 //!
@@ -22,7 +22,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use dmpb_core::fnv::hash_bytes;
@@ -239,12 +239,11 @@ impl std::error::Error for CampaignError {}
 pub struct CampaignRunner {
     version: u32,
     workers: usize,
-    chunk_elements: Option<usize>,
     profile_kernels: bool,
     store: Arc<ResultStore>,
     pool: OnceLock<Arc<WorkerPool>>,
     tunes: TuningCache,
-    executors: Mutex<HashMap<Option<usize>, Arc<DagExecutor>>>,
+    executor: DagExecutor,
     observer: Option<CellObserver>,
 }
 
@@ -276,12 +275,11 @@ impl CampaignRunner {
         Self {
             version: CODE_MODEL_VERSION,
             workers: DEFAULT_WORKERS,
-            chunk_elements: None,
             profile_kernels: false,
             store: Arc::new(store),
             pool: OnceLock::new(),
             tunes: TuningCache::new(),
-            executors: Mutex::new(HashMap::new()),
+            executor: DagExecutor::new(),
             observer: None,
         }
     }
@@ -291,7 +289,7 @@ impl CampaignRunner {
     /// [`KernelProfiler`] on before executing (and leaves it on, so a
     /// sequence of campaigns accumulates one profile — read it with
     /// [`CampaignRunner::kernel_profile`]).  Profiling never changes
-    /// results: executors only timestamp each executed chunk, so reports
+    /// results: the executor only timestamps each executed edge, so reports
     /// and digests stay byte-identical.
     pub fn with_kernel_profiling(mut self, enabled: bool) -> Self {
         self.profile_kernels = enabled;
@@ -322,18 +320,6 @@ impl CampaignRunner {
         self
     }
 
-    /// Streams every cell's sample execution in granule-aligned chunks of
-    /// at most `chunk_elements` elements (bounded peak RSS at large
-    /// element counts).  A scenario's `[executor] chunk_elements` takes
-    /// precedence for its own run.  Streaming never changes results:
-    /// checksums, fingerprints and report digests are byte-identical to
-    /// monolithic execution, so a store filled monolithically serves
-    /// streamed campaigns and vice versa.
-    pub fn with_chunk_elements(mut self, chunk_elements: Option<usize>) -> Self {
-        self.chunk_elements = chunk_elements;
-        self
-    }
-
     /// The backing result store.
     pub fn store(&self) -> &ResultStore {
         &self.store
@@ -352,24 +338,6 @@ impl CampaignRunner {
     fn pool(&self, width: usize) -> &Arc<WorkerPool> {
         self.pool
             .get_or_init(|| Arc::new(WorkerPool::new(width.max(self.workers).saturating_sub(1))))
-    }
-
-    /// The serial executor for one streaming chunk setting, created on
-    /// first use.  It shares one buffer pool across every cell it runs
-    /// and, running each DAG on the calling thread, never builds a
-    /// worker pool.
-    fn executor(&self, chunk_elements: Option<usize>) -> Arc<DagExecutor> {
-        // Recover a poisoned map instead of cascading the panic into
-        // every later campaign: entries are only ever inserted whole.
-        let mut executors = self
-            .executors
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(
-            executors.entry(chunk_elements).or_insert_with(|| {
-                Arc::new(DagExecutor::new().with_chunk_elements(chunk_elements))
-            }),
-        )
     }
 
     /// Executes one cell: store lookup first, then tune + execute +
@@ -456,8 +424,7 @@ impl CampaignRunner {
             .workers
             .unwrap_or(self.workers)
             .clamp(1, cells.len().max(1));
-        let executor = self.executor(scenario.chunk_elements.or(self.chunk_elements));
-        let executor = executor.as_ref();
+        let executor = &self.executor;
 
         let slots: Vec<OnceLock<Result<CellOutcome, String>>> =
             cells.iter().map(|_| OnceLock::new()).collect();
@@ -608,23 +575,22 @@ mod tests {
     }
 
     #[test]
-    fn streamed_and_monolithic_campaigns_share_tunes() {
+    fn a_later_campaign_with_a_new_seed_reuses_the_earlier_tunes() {
         let runner = CampaignRunner::new().with_workers(1);
         let _ = runner.run(&small_scenario());
         let misses = runner.tunes.stats().misses;
         assert_eq!(misses, 2);
 
-        // A new seed misses the store, and chunking never changes a tune,
-        // so every cell reuses the monolithic campaign's tunes.
-        let mut streamed = small_scenario();
-        streamed.chunk_elements = Some(4096);
-        streamed.seeds = vec![99];
-        let report = runner.run(&streamed);
+        // A new seed misses the store, but the seed never changes a tune,
+        // so every cell reuses the first campaign's tunes.
+        let mut reseeded = small_scenario();
+        reseeded.seeds = vec![99];
+        let report = runner.run(&reseeded);
         assert_eq!(report.cache_hits(), 0, "the new seed must miss the store");
         assert_eq!(
             runner.tunes.stats().misses,
             misses,
-            "a streamed campaign re-tuned a workload"
+            "a re-seeded campaign re-tuned a workload"
         );
     }
 
@@ -727,19 +693,6 @@ mod tests {
         let a = CampaignRunner::new().with_workers(8).run(&scenario);
         let b = CampaignRunner::new().run(&small_scenario());
         assert_eq!(a.to_lines(), b.to_lines());
-    }
-
-    #[test]
-    fn streamed_campaign_is_byte_identical_to_monolithic() {
-        let scenario = {
-            let mut s = small_scenario();
-            s.chunk_elements = Some(4096);
-            s
-        };
-        let streamed = CampaignRunner::new().run(&scenario);
-        let monolithic = CampaignRunner::new().run(&small_scenario());
-        assert_eq!(streamed.to_lines(), monolithic.to_lines());
-        assert_eq!(streamed.digest(), monolithic.digest());
     }
 
     #[test]

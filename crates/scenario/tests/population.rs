@@ -1,6 +1,6 @@
 //! Determinism gates for synthetic workload populations (PR 10): one
 //! seed byte-reproduces the population and its campaign digest across
-//! worker counts, streaming modes and store warmth; duration-budget
+//! worker counts and store warmth; duration-budget
 //! truncation always keeps a rank prefix of the untruncated population.
 
 use dmpb_population::{PopulationGenerator, PopulationSpec};
@@ -20,10 +20,9 @@ fn population_scenario(size: u32, seed: u64) -> Scenario {
 }
 
 /// The satellite gate: the same seeded population campaign digests
-/// byte-identically under 1 vs 8 workers, monolithic vs chunked
-/// streaming, and cold vs warm store.
+/// byte-identically under 1 vs 8 workers and cold vs warm store.
 #[test]
-fn campaign_digests_survive_workers_streaming_and_warmth() {
+fn campaign_digests_survive_workers_and_warmth() {
     let scenario = population_scenario(2, 0xBEEF);
 
     let runner = CampaignRunner::new().with_workers(1);
@@ -43,14 +42,6 @@ fn campaign_digests_survive_workers_streaming_and_warmth() {
     let parallel = CampaignRunner::new().with_workers(8).run(&scenario);
     assert_eq!(parallel.to_lines(), cold.to_lines());
     assert_eq!(parallel.digest(), cold.digest());
-
-    let chunked = {
-        let mut s = scenario.clone();
-        s.chunk_elements = Some(512);
-        CampaignRunner::new().run(&s)
-    };
-    assert_eq!(chunked.to_lines(), cold.to_lines());
-    assert_eq!(chunked.digest(), cold.digest());
 }
 
 /// A mixed (named + synthetic) campaign persisted to a sharded store is

@@ -84,8 +84,7 @@ fn profiler_counters_account_for_every_executed_element() {
     // Expected totals, derived independently of the profiler: rebuild
     // each cell's proxy and re-execute its DAG (profiling off), summing
     // what the execution itself reports.  The profiler records once per
-    // executed chunk and these cells are unchunked (one chunk per edge),
-    // so each edge is counted exactly once.
+    // executed edge, so each edge is counted exactly once.
     let mut expected_elements = 0u64;
     let mut expected_invocations = 0u64;
     for cell in scenario.expand() {

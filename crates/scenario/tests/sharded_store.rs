@@ -226,20 +226,14 @@ fn campaigns_are_byte_identical_across_store_layouts() {
     assert_eq!(cold.digest(), warm_sharded.digest());
 
     // A single-file store as older releases wrote it, holding the
-    // monolithically computed cells: opening it migrates it in place,
-    // and a *streamed* campaign served from the migrated store must
-    // still be byte-identical.
+    // cold run's cells: opening it migrates it in place, and a campaign
+    // served from the migrated store must still be byte-identical.
     let legacy_path = dir.join("store.jsonl");
     std::fs::write(&legacy_path, cold.to_lines()).unwrap();
     let migrated = ResultStore::open(&legacy_path).unwrap();
     assert!(legacy_path.is_dir(), "migration replaces the file in place");
     assert_eq!(migrated.shard_count(), DEFAULT_STORE_SHARDS);
-    let streamed_scenario = {
-        let mut s = small_scenario();
-        s.chunk_elements = Some(4096);
-        s
-    };
-    let warm_migrated = CampaignRunner::with_store(migrated).run(&streamed_scenario);
+    let warm_migrated = CampaignRunner::with_store(migrated).run(&scenario);
     assert_eq!(warm_migrated.cache_hits(), cold.outcomes.len());
     assert_eq!(cold.to_lines(), warm_migrated.to_lines());
     assert_eq!(cold.digest(), warm_migrated.digest());

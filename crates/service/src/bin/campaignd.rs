@@ -2,8 +2,11 @@
 //!
 //! ```text
 //! campaignd [--addr HOST:PORT] [--store DIR] [--workers N] [--queue-depth N]
-//!           [--chunk-elements N] [--store-shards N]
+//!           [--store-shards N]
 //! ```
+//!
+//! `--workers`, `--queue-depth` and `--store-shards` take positive
+//! integers; zero is a usage error (exit code 2).
 //!
 //! `--store DIR` persists results in a store directory, created if
 //! missing (a single-file store from an older release is migrated in
@@ -20,7 +23,7 @@ use dmpb_service::{serve, ServiceConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: campaignd [--addr HOST:PORT] [--store DIR] [--workers N] [--queue-depth N] [--chunk-elements N] [--store-shards N]"
+        "usage: campaignd [--addr HOST:PORT] [--store DIR] [--workers N] [--queue-depth N] [--store-shards N]"
     );
     std::process::exit(2);
 }
@@ -55,14 +58,7 @@ fn main() {
             "--store" => config.store_path = Some(PathBuf::from(value("--store"))),
             "--workers" => config.workers = positive("--workers", value("--workers")),
             "--queue-depth" => {
-                config.queue_depth = value("--queue-depth").parse().unwrap_or_else(|e| {
-                    eprintln!("campaignd: bad --queue-depth: {e}");
-                    usage()
-                })
-            }
-            "--chunk-elements" => {
-                config.chunk_elements =
-                    Some(positive("--chunk-elements", value("--chunk-elements")))
+                config.queue_depth = positive("--queue-depth", value("--queue-depth"))
             }
             "--store-shards" => {
                 config.store_shards = Some(positive("--store-shards", value("--store-shards")))

@@ -40,10 +40,6 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Worker-pool width for campaign cell batching.
     pub workers: usize,
-    /// Streaming chunk size (elements) for cell sample executions;
-    /// `None` executes monolithically.  A scenario's own
-    /// `[executor] chunk_elements` takes precedence per campaign.
-    pub chunk_elements: Option<usize>,
     /// Directory of the shared result store, created if missing (a
     /// single-file store from an older release is migrated in place);
     /// `None` keeps results in memory for the daemon's lifetime.
@@ -60,7 +56,6 @@ impl Default for ServiceConfig {
             addr: "127.0.0.1:0".to_string(),
             queue_depth: 16,
             workers: dmpb_scenario::runner::DEFAULT_WORKERS,
-            chunk_elements: None,
             store_path: None,
             store_shards: None,
         }
@@ -246,7 +241,6 @@ pub fn serve(config: ServiceConfig) -> Result<ServiceHandle, String> {
     // changes results (reports and digests are profile-independent).
     let runner = CampaignRunner::with_store(store)
         .with_workers(config.workers.max(1))
-        .with_chunk_elements(config.chunk_elements)
         .with_kernel_profiling(true)
         .with_cell_observer(Arc::new(move |_outcome, wall| recorder.record(wall)));
 

@@ -37,18 +37,14 @@ fn initial_proxies() -> Vec<ProxyBenchmark> {
 }
 
 /// The DAG executor's digest and the `ExecutionSummary` checksum must be
-/// identical monolithic vs chunked streaming and across repeated runs,
-/// for all 8 workloads.
+/// identical across repeated runs, for all 8 workloads.
 #[test]
-fn dag_execution_is_identical_streamed_and_repeated_for_all_workloads() {
-    let monolithic = DagExecutor::new();
-    let streamed = DagExecutor::new().with_chunk_elements(Some(4096));
+fn dag_execution_is_identical_across_repeats_for_all_workloads() {
+    let executor = DagExecutor::new();
     for proxy in initial_proxies() {
-        let a = proxy.execute_dag(&monolithic, 1_000, 17);
-        let b = proxy.execute_dag(&monolithic, 1_000, 17);
-        let c = proxy.execute_dag(&streamed, 1_000, 17);
+        let a = proxy.execute_dag(&executor, 1_000, 17);
+        let b = proxy.execute_dag(&executor, 1_000, 17);
         assert_eq!(a, b, "{}: repeated runs differ", proxy.name());
-        assert_eq!(a, c, "{}: streaming changed the execution", proxy.name());
         assert_eq!(
             proxy.execute_sample(1_000, 17).checksum,
             a.checksum,
@@ -87,22 +83,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For random acyclic topologies — not just the eight curated
-    /// workload DAGs — monolithic and chunked streaming execution must
-    /// be byte-identical.
+    /// workload DAGs — a repeat run on a shared executor (its buffer pool
+    /// warm) and a run on a fresh executor must be byte-identical.
     #[test]
-    fn random_acyclic_dags_execute_identically_streamed_and_monolithic(
+    fn random_acyclic_dags_execute_identically_on_repeat_and_fresh_executors(
         nodes in 2usize..10,
         picks in prop::collection::vec(0usize..100_000, 1..24),
         elements in 64usize..800,
         seed in 0u64..100_000,
     ) {
         let dag = random_dag(nodes, &picks);
-        let monolithic = DagExecutor::new().execute(&dag, elements, seed);
-        let streamed = DagExecutor::new()
-            .with_chunk_elements(Some(4096))
-            .execute(&dag, elements, seed);
-        prop_assert_eq!(&monolithic, &streamed,
-            "chunked streaming changed the execution:\n{}", dag.describe());
+        let shared = DagExecutor::new();
+        let first = shared.execute(&dag, elements, seed);
+        let repeat = shared.execute(&dag, elements, seed);
+        let fresh = DagExecutor::new().execute(&dag, elements, seed);
+        prop_assert_eq!(&first, &repeat,
+            "a repeat run changed the execution:\n{}", dag.describe());
+        prop_assert_eq!(&first, &fresh,
+            "a warm buffer pool changed the execution:\n{}", dag.describe());
     }
 }
 
