@@ -218,3 +218,58 @@ fn store_shards_flag_runs_sharded_end_to_end_with_compaction() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn profile_out_writes_a_parseable_kernel_profile() {
+    use dmpb_metrics::json::{parse_object, JsonScalar};
+    use std::collections::HashMap;
+
+    let source = r#"
+[scenario]
+name = "one-cell-profiled"
+
+[axes]
+workloads = ["TeraSort"]
+clusters = ["five-node-westmere"]
+"#;
+    let path = scenario_file("profile-out", source);
+    let dir = fresh_dir("profile-out");
+    let profile = dir.join("kernel-profile.jsonl");
+    let output = campaign()
+        .arg(&path)
+        .arg("--profile-out")
+        .arg(&profile)
+        .output()
+        .expect("campaign binary runs");
+    assert_success(&output, "profiled run");
+
+    let dump = std::fs::read_to_string(&profile).expect("profile written");
+    let records: Vec<HashMap<String, JsonScalar>> = dump
+        .lines()
+        .map(|line| {
+            parse_object(line)
+                .unwrap_or_else(|e| panic!("bad line {line}: {e}"))
+                .into_iter()
+                .collect()
+        })
+        .collect();
+    let record = |r: &HashMap<String, JsonScalar>| r["record"].as_str().unwrap().to_string();
+    let int = |r: &HashMap<String, JsonScalar>, name: &str| r[name].as_int().unwrap();
+
+    let (header, kinds) = records.split_first().expect("profile has a header");
+    assert_eq!(record(header), "profile");
+    assert!(!kinds.is_empty(), "a run executes kernels:\n{dump}");
+    assert!(
+        kinds.iter().all(|r| record(r) == "kind"),
+        "only per-kind lines follow the header, no lease lines:\n{dump}"
+    );
+    for total in ["invocations", "elements"] {
+        assert_eq!(
+            int(header, total),
+            kinds.iter().map(|r| int(r, total)).sum::<i64>(),
+            "header {total} is the sum over kinds:\n{dump}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -131,21 +131,6 @@ impl ProxyDag {
         self.edges.len()
     }
 
-    /// Edges with their weights renormalised to sum to one.
-    pub fn normalized_edges(&self) -> Vec<MotifEdge> {
-        let total: f64 = self.edges.iter().map(|e| e.weight).sum();
-        if total <= 0.0 {
-            return Vec::new();
-        }
-        self.edges
-            .iter()
-            .map(|e| MotifEdge {
-                weight: e.weight / total,
-                ..*e
-            })
-            .collect()
-    }
-
     /// Node ids in topological order ([`dmpb_motifs::topology`]'s shared
     /// Kahn implementation; among ready nodes the smallest id is taken
     /// first, so the order is deterministic).
@@ -251,13 +236,6 @@ mod tests {
         assert_eq!(dag.nodes().len(), 3);
         assert_eq!(dag.num_edges(), 3);
         assert!(dag.describe().contains("quick-sort"));
-    }
-
-    #[test]
-    fn normalized_edge_weights_sum_to_one() {
-        let dag = sample_dag();
-        let total: f64 = dag.normalized_edges().iter().map(|e| e.weight).sum();
-        assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]

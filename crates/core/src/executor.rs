@@ -5,16 +5,16 @@
 //! sorts before every edge out of it, so that order is a valid
 //! execution order.  The executor never spawns or borrows a thread:
 //! campaign cells are the harness's unit of concurrency, and concurrent
-//! cells share one executor (its kernel objects are stateless and its
-//! [`BufferPool`] is sharded per pool worker).
+//! cells share one executor (it holds no state, and its kernel objects
+//! are stateless).
 //!
 //! # One edge body: a loop over granules
 //!
 //! Every edge runs as [`MotifKernel::execute`]: one loop over the
-//! edge's 4096-element granules.  Each granule body leases its scratch
-//! from the [`BufferPool`] and returns it before the next granule, so
-//! peak RSS is bounded by one granule's scratch whatever the edge's
-//! element count — how 10^7-element cells run in a few megabytes.
+//! edge's 4096-element granules.  Each granule body allocates its
+//! scratch and frees it before the next granule, so peak RSS is bounded
+//! by one granule's scratch whatever the edge's element count — how
+//! 10^7-element cells run in a few megabytes.
 //!
 //! # Profiling
 //!
@@ -29,15 +29,15 @@
 //!
 //! * every edge's kernel seed is **derived** from the execution seed and
 //!   the edge's *topological index* via [`derive_seed`];
-//! * kernel scratch buffers come from a shared, zero-filling, sharded
-//!   [`BufferPool`], so recycled storage cannot leak state into checksums;
+//! * every granule body fills its scratch from index arithmetic alone,
+//!   so no earlier execution can leak state into a checksum;
 //! * per-edge checksums are folded in topological-index order.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use dmpb_datagen::rng::derive_seed;
-use dmpb_motifs::{BufferPool, KernelProfiler, MotifKernel, MotifKind, MotifRegistry, WorkerPool};
+use dmpb_motifs::{KernelProfiler, MotifKernel, MotifKind, MotifRegistry, WorkerPool};
 
 use crate::dag::ProxyDag;
 
@@ -78,14 +78,12 @@ impl DagExecution {
 /// Deterministic serial executor for proxy DAGs (see the
 /// [module documentation](self)).
 #[derive(Debug, Default)]
-pub struct DagExecutor {
-    pool: BufferPool,
-}
+pub struct DagExecutor;
 
 impl DagExecutor {
-    /// An executor with a fresh buffer pool.
+    /// A new executor.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Retired: DAG execution is always serial.  Accepts only `1` and
@@ -111,12 +109,6 @@ impl DagExecutor {
     #[doc(hidden)]
     pub fn with_chunk_elements(self, _chunk_elements: Option<usize>) -> Self {
         self
-    }
-
-    /// The shared intermediate-buffer pool kernels lease scratch storage
-    /// from.
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
     }
 
     /// Executes every motif edge of `dag` on generated sample data.
@@ -177,10 +169,10 @@ impl DagExecutor {
         profiling: bool,
     ) -> u64 {
         if !profiling {
-            return kernel.execute(n, seed, &self.pool);
+            return kernel.execute(n, seed);
         }
         let t = Instant::now();
-        let checksum = kernel.execute(n, seed, &self.pool);
+        let checksum = kernel.execute(n, seed);
         KernelProfiler::global().record(kernel.kind(), n, t.elapsed());
         checksum
     }
@@ -249,8 +241,8 @@ mod tests {
     }
 
     /// Concurrent cells share one executor: executions running at once
-    /// on pool workers (leasing through different buffer-pool shards)
-    /// must match a lone serial run, on any pool width and every repeat.
+    /// on pool workers must match a lone serial run, on any pool width
+    /// and every repeat.
     #[test]
     fn checksum_is_identical_across_worker_counts_and_repeats() {
         let dag = diamond();
@@ -304,20 +296,6 @@ mod tests {
         assert_ne!(
             executor.execute(&dag, 512, 1).checksum,
             executor.execute(&dag, 512, 2).checksum
-        );
-    }
-
-    #[test]
-    fn pool_is_reused_across_executions() {
-        let executor = DagExecutor::new();
-        let dag = diamond();
-        executor.execute(&dag, 512, 1);
-        let before = executor.pool().stats();
-        executor.execute(&dag, 512, 1);
-        let after = executor.pool().stats();
-        assert!(
-            after.reused > before.reused,
-            "second execution must recycle the first one's buffers"
         );
     }
 }

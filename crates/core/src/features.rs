@@ -42,20 +42,6 @@ impl FeatureSelection {
             deviation_threshold: 0.15,
         }
     }
-
-    /// A selection focused on cache behaviour only (the paper's example of
-    /// tuning towards a particular concern).
-    pub fn cache_focused() -> Self {
-        Self {
-            metrics: vec![
-                MetricId::L1iHitRatio,
-                MetricId::L1dHitRatio,
-                MetricId::L2HitRatio,
-                MetricId::L3HitRatio,
-            ],
-            deviation_threshold: 0.15,
-        }
-    }
 }
 
 impl Default for FeatureSelection {
@@ -102,13 +88,6 @@ mod tests {
         assert_eq!(f.metrics.len(), MetricId::TUNABLE.len());
         assert!((f.deviation_threshold - 0.15).abs() < 1e-12);
         assert!(!f.metrics.contains(&MetricId::Runtime));
-    }
-
-    #[test]
-    fn cache_focused_selection_is_a_subset() {
-        let f = FeatureSelection::cache_focused();
-        assert_eq!(f.metrics.len(), 4);
-        assert!(f.metrics.iter().all(|m| MetricId::TUNABLE.contains(m)));
     }
 
     #[test]

@@ -223,18 +223,6 @@ impl VectorDataset {
     }
 }
 
-/// Generates `count` dense random centroids of dimension `dim`, used to
-/// initialise K-means.
-pub fn random_centroids(count: usize, dim: usize, seed: u64) -> Vec<DenseVector> {
-    let gaussian = Gaussian::new(0.0, 1.0);
-    (0..count)
-        .map(|i| {
-            let mut rng = seeded_rng(derive_seed(seed, 0x6365_6e74 ^ i as u64));
-            (0..dim).map(|_| gaussian.sample(&mut rng)).collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,13 +296,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn sparse_vector_rejects_out_of_range_index() {
         let _ = SparseVector::new(2, vec![5], vec![1.0]);
-    }
-
-    #[test]
-    fn centroids_have_requested_shape() {
-        let cs = random_centroids(8, 16, 3);
-        assert_eq!(cs.len(), 8);
-        assert!(cs.iter().all(|c| c.len() == 16));
     }
 
     #[test]

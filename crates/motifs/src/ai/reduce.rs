@@ -10,40 +10,6 @@ pub fn reduce_max(input: &[f32]) -> Option<f32> {
     input.iter().cloned().reduce(f32::max)
 }
 
-/// Row-wise sums of a `[rows, cols]` tensor.
-///
-/// # Panics
-///
-/// Panics if the input length is not a multiple of `cols` or `cols` is zero.
-pub fn reduce_sum_rows(input: &[f32], cols: usize) -> Vec<f32> {
-    assert!(cols > 0, "cols must be non-zero");
-    assert!(
-        input.len() % cols == 0,
-        "input is not a whole number of rows"
-    );
-    input
-        .chunks_exact(cols)
-        .map(|row| row.iter().sum())
-        .collect()
-}
-
-/// Row-wise maxima of a `[rows, cols]` tensor.
-///
-/// # Panics
-///
-/// Panics if the input length is not a multiple of `cols` or `cols` is zero.
-pub fn reduce_max_rows(input: &[f32], cols: usize) -> Vec<f32> {
-    assert!(cols > 0, "cols must be non-zero");
-    assert!(
-        input.len() % cols == 0,
-        "input is not a whole number of rows"
-    );
-    input
-        .chunks_exact(cols)
-        .map(|row| row.iter().cloned().fold(f32::NEG_INFINITY, f32::max))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,18 +24,5 @@ mod tests {
     fn reduce_max_finds_the_largest() {
         assert_eq!(reduce_max(&[1.0, 7.0, -3.0]), Some(7.0));
         assert_eq!(reduce_max(&[]), None);
-    }
-
-    #[test]
-    fn row_wise_reductions() {
-        let data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        assert_eq!(reduce_sum_rows(&data, 3), vec![6.0, 15.0]);
-        assert_eq!(reduce_max_rows(&data, 3), vec![3.0, 6.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "whole number of rows")]
-    fn ragged_rows_are_rejected() {
-        let _ = reduce_sum_rows(&[1.0, 2.0, 3.0], 2);
     }
 }

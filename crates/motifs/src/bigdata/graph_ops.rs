@@ -1,9 +1,7 @@
 //! Graph motif: graph construction and traversal.
 //!
 //! Construction turns an edge list into the CSR adjacency structure from
-//! `dmpb-datagen`; traversal is breadth-first search plus the degree
-//! statistics PageRank's proxy needs (out-degree and in-degree counting is
-//! listed in Table III as part of Proxy PageRank).
+//! `dmpb-datagen`; traversal is breadth-first search.
 
 use dmpb_datagen::graph::CsrGraph;
 
@@ -22,54 +20,9 @@ pub fn traversal_reach(graph: &CsrGraph, start: usize) -> usize {
     graph.bfs(start).len()
 }
 
-/// Out-degree and in-degree of every vertex, the per-node statistics the
-/// PageRank decomposition uses.
-pub fn degree_counts(graph: &CsrGraph) -> (Vec<usize>, Vec<usize>) {
-    let out: Vec<usize> = (0..graph.num_vertices())
-        .map(|v| graph.out_degree(v))
-        .collect();
-    let in_deg = graph.in_degrees();
-    (out, in_deg)
-}
-
-/// One synchronous PageRank iteration over the graph (damping 0.85),
-/// used by the PageRank workload model's reference computation.
-///
-/// # Panics
-///
-/// Panics if `ranks.len()` does not match the vertex count.
-pub fn pagerank_iteration(graph: &CsrGraph, ranks: &[f64], damping: f64) -> Vec<f64> {
-    assert_eq!(
-        ranks.len(),
-        graph.num_vertices(),
-        "rank vector size mismatch"
-    );
-    let n = graph.num_vertices();
-    let mut next = vec![(1.0 - damping) / n as f64; n];
-    let mut dangling = 0.0;
-    for (v, &rank) in ranks.iter().enumerate() {
-        let degree = graph.out_degree(v);
-        if degree == 0 {
-            dangling += rank;
-            continue;
-        }
-        let share = damping * rank / degree as f64;
-        for &t in graph.neighbors(v) {
-            next[t as usize] += share;
-        }
-    }
-    // Dangling mass is spread uniformly.
-    let dangling_share = damping * dangling / n as f64;
-    for r in &mut next {
-        *r += dangling_share;
-    }
-    next
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmpb_datagen::graph::{GraphGenerator, GraphSpec};
 
     fn triangle_with_tail() -> CsrGraph {
         construct(4, &[(0, 1), (1, 2), (2, 0), (2, 3)])
@@ -81,44 +34,5 @@ mod tests {
         assert_eq!(g.num_edges(), 4);
         assert_eq!(traversal_reach(&g, 0), 4);
         assert_eq!(traversal_reach(&g, 3), 1, "vertex 3 has no out-edges");
-    }
-
-    #[test]
-    fn degree_counts_match_structure() {
-        let (out, in_deg) = degree_counts(&triangle_with_tail());
-        assert_eq!(out, vec![1, 1, 2, 0]);
-        assert_eq!(in_deg, vec![1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn pagerank_conserves_probability_mass() {
-        let g = GraphGenerator::new(GraphSpec::power_law(500, 4, 11)).generate();
-        let mut ranks = vec![1.0 / 500.0; 500];
-        for _ in 0..10 {
-            ranks = pagerank_iteration(&g, &ranks, 0.85);
-            let sum: f64 = ranks.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9, "mass {sum}");
-        }
-    }
-
-    #[test]
-    fn pagerank_favours_high_in_degree_vertices() {
-        // Star graph: every spoke points at vertex 0.
-        let edges: Vec<(u32, u32)> = (1..50u32).map(|v| (v, 0)).collect();
-        let g = construct(50, &edges);
-        let mut ranks = vec![1.0 / 50.0; 50];
-        for _ in 0..20 {
-            ranks = pagerank_iteration(&g, &ranks, 0.85);
-        }
-        let max = ranks.iter().cloned().fold(f64::MIN, f64::max);
-        assert_eq!(ranks[0], max);
-        assert!(ranks[0] > 10.0 * ranks[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "size mismatch")]
-    fn pagerank_rejects_wrong_rank_vector() {
-        let g = triangle_with_tail();
-        let _ = pagerank_iteration(&g, &[0.5, 0.5], 0.85);
     }
 }

@@ -81,11 +81,6 @@ pub fn md5(data: &[u8]) -> [u8; 16] {
     digest
 }
 
-/// Formats a digest as the conventional lower-case hex string.
-pub fn digest_to_hex(digest: &[u8; 16]) -> String {
-    digest.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 /// XOR keystream "encryption": a xorshift keystream derived from `key` is
 /// XORed over the data.  Applying it twice with the same key restores the
 /// plaintext.
@@ -106,24 +101,23 @@ pub fn xor_encrypt(data: &[u8], key: u64) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    /// Formats a digest as the conventional lower-case hex string.
+    fn hex(digest: &[u8; 16]) -> String {
+        digest.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
     fn md5_reference_vectors() {
         // RFC 1321 test suite.
-        assert_eq!(digest_to_hex(&md5(b"")), "d41d8cd98f00b204e9800998ecf8427e");
+        assert_eq!(hex(&md5(b"")), "d41d8cd98f00b204e9800998ecf8427e");
+        assert_eq!(hex(&md5(b"a")), "0cc175b9c0f1b6a831c399e269772661");
+        assert_eq!(hex(&md5(b"abc")), "900150983cd24fb0d6963f7d28e17f72");
         assert_eq!(
-            digest_to_hex(&md5(b"a")),
-            "0cc175b9c0f1b6a831c399e269772661"
-        );
-        assert_eq!(
-            digest_to_hex(&md5(b"abc")),
-            "900150983cd24fb0d6963f7d28e17f72"
-        );
-        assert_eq!(
-            digest_to_hex(&md5(b"message digest")),
+            hex(&md5(b"message digest")),
             "f96b697d7cb7938d525a2f31aaf161d0"
         );
         assert_eq!(
-            digest_to_hex(&md5(b"abcdefghijklmnopqrstuvwxyz")),
+            hex(&md5(b"abcdefghijklmnopqrstuvwxyz")),
             "c3fcd3d76192e4007dfb496cca67e13b"
         );
     }
@@ -136,7 +130,7 @@ mod tests {
             let d = md5(&data);
             assert_eq!(d.len(), 16);
             // Hash must differ from the empty-input hash.
-            assert_ne!(digest_to_hex(&d), "d41d8cd98f00b204e9800998ecf8427e");
+            assert_ne!(hex(&d), "d41d8cd98f00b204e9800998ecf8427e");
         }
     }
 

@@ -6,7 +6,6 @@
 //! matrix).
 
 use dmpb_datagen::matrix::DenseMatrix;
-use dmpb_datagen::vectors::SparseVector;
 
 /// Squared euclidean distance between two dense vectors.
 ///
@@ -38,26 +37,6 @@ pub fn cosine_distance(a: &[f64], b: &[f64]) -> f64 {
         return 1.0;
     }
     1.0 - dot / (na * nb)
-}
-
-/// Index of the nearest centroid to a sparse vector under squared
-/// euclidean distance — the inner loop of K-means assignment.
-///
-/// # Panics
-///
-/// Panics if `centroids` is empty.
-pub fn nearest_centroid(point: &SparseVector, centroids: &[Vec<f64>]) -> usize {
-    assert!(!centroids.is_empty(), "need at least one centroid");
-    let mut best = 0;
-    let mut best_distance = f64::INFINITY;
-    for (i, centroid) in centroids.iter().enumerate() {
-        let d = point.squared_distance_to_dense(centroid);
-        if d < best_distance {
-            best_distance = d;
-            best = i;
-        }
-    }
-    best
 }
 
 /// Dense matrix multiplication (wrapper over the datagen matrix type so the
@@ -96,17 +75,6 @@ mod tests {
     #[test]
     fn cosine_distance_of_zero_vector_is_defined() {
         assert_eq!(cosine_distance(&[0.0, 0.0], &[1.0, 1.0]), 1.0);
-    }
-
-    #[test]
-    fn nearest_centroid_picks_the_closest() {
-        let point = SparseVector::new(3, vec![0, 2], vec![1.0, 1.0]);
-        let centroids = vec![
-            vec![10.0, 10.0, 10.0],
-            vec![1.0, 0.0, 1.0],
-            vec![-5.0, 0.0, 0.0],
-        ];
-        assert_eq!(nearest_centroid(&point, &centroids), 1);
     }
 
     #[test]

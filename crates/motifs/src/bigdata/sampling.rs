@@ -33,38 +33,6 @@ pub fn interval_sample_indices(count: usize, interval: usize, offset: usize) -> 
     (offset..count).step_by(interval).collect()
 }
 
-/// Random sampling of items (by value).
-pub fn random_sample<T: Clone>(items: &[T], fraction: f64, seed: u64) -> Vec<T> {
-    random_sample_indices(items.len(), fraction, seed)
-        .into_iter()
-        .map(|i| items[i].clone())
-        .collect()
-}
-
-/// Interval sampling of items (by value).
-pub fn interval_sample<T: Clone>(items: &[T], interval: usize) -> Vec<T> {
-    interval_sample_indices(items.len(), interval, 0)
-        .into_iter()
-        .map(|i| items[i].clone())
-        .collect()
-}
-
-/// Chooses `num_partitions - 1` splitter values from a sorted sample, the
-/// way TeraSort derives its reducer partition boundaries.
-///
-/// Returns an empty vector when fewer than two partitions are requested.
-pub fn choose_splitters<T: Clone + Ord>(sorted_sample: &[T], num_partitions: usize) -> Vec<T> {
-    if num_partitions < 2 || sorted_sample.is_empty() {
-        return Vec::new();
-    }
-    (1..num_partitions)
-        .map(|i| {
-            let idx = i * sorted_sample.len() / num_partitions;
-            sorted_sample[idx.min(sorted_sample.len() - 1)].clone()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,23 +68,5 @@ mod tests {
     #[should_panic(expected = "interval")]
     fn zero_interval_is_rejected() {
         let _ = interval_sample_indices(10, 0, 0);
-    }
-
-    #[test]
-    fn sampling_by_value() {
-        let items: Vec<u32> = (0..100).collect();
-        let every_tenth = interval_sample(&items, 10);
-        assert_eq!(every_tenth, vec![0, 10, 20, 30, 40, 50, 60, 70, 80, 90]);
-        let random = random_sample(&items, 0.2, 3);
-        assert!(random.iter().all(|v| items.contains(v)));
-    }
-
-    #[test]
-    fn splitters_divide_the_key_space() {
-        let sample: Vec<u32> = (0..1000).collect();
-        let splitters = choose_splitters(&sample, 4);
-        assert_eq!(splitters, vec![250, 500, 750]);
-        assert!(choose_splitters(&sample, 1).is_empty());
-        assert!(choose_splitters::<u32>(&[], 4).is_empty());
     }
 }

@@ -51,42 +51,6 @@ pub fn min_max(values: &[f64]) -> Option<(f64, f64)> {
     Some((min, max))
 }
 
-/// Per-cluster mean vectors: given assignments of points to clusters, sums
-/// each cluster's points and divides by its size — the K-means update step.
-///
-/// Clusters with no members keep their previous centroid.
-///
-/// # Panics
-///
-/// Panics if `assignments.len() != points.len()`.
-pub fn cluster_means(
-    points: &[Vec<f64>],
-    assignments: &[usize],
-    previous: &[Vec<f64>],
-) -> Vec<Vec<f64>> {
-    assert_eq!(points.len(), assignments.len(), "assignment count mismatch");
-    let k = previous.len();
-    let dim = previous.first().map_or(0, Vec::len);
-    let mut sums = vec![vec![0.0; dim]; k];
-    let mut counts = vec![0usize; k];
-    for (point, &a) in points.iter().zip(assignments) {
-        counts[a] += 1;
-        for (s, v) in sums[a].iter_mut().zip(point) {
-            *s += v;
-        }
-    }
-    sums.into_iter()
-        .enumerate()
-        .map(|(i, sum)| {
-            if counts[i] == 0 {
-                previous[i].clone()
-            } else {
-                sum.into_iter().map(|s| s / counts[i] as f64).collect()
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,22 +83,5 @@ mod tests {
     fn min_max_of_values() {
         assert_eq!(min_max(&[3.0, -1.0, 7.5, 0.0]), Some((-1.0, 7.5)));
         assert_eq!(min_max(&[]), None);
-    }
-
-    #[test]
-    fn cluster_means_compute_centroids() {
-        let points = vec![vec![0.0, 0.0], vec![2.0, 2.0], vec![10.0, 10.0]];
-        let assignments = vec![0, 0, 1];
-        let previous = vec![vec![9.0, 9.0], vec![9.0, 9.0], vec![5.0, 5.0]];
-        let means = cluster_means(&points, &assignments, &previous);
-        assert_eq!(means[0], vec![1.0, 1.0]);
-        assert_eq!(means[1], vec![10.0, 10.0]);
-        assert_eq!(means[2], vec![5.0, 5.0], "empty cluster keeps its centroid");
-    }
-
-    #[test]
-    #[should_panic(expected = "assignment count")]
-    fn cluster_means_rejects_mismatched_assignments() {
-        let _ = cluster_means(&[vec![1.0]], &[0, 1], &[vec![0.0]]);
     }
 }

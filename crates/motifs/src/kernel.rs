@@ -9,12 +9,9 @@
 //!   scale without materialising data; and
 //! * [`MotifKernel::execute_granule`] — the real sample kernel over one
 //!   **granule** (a fixed [`CHUNK_GRANULE`]-element window of the motif's
-//!   logical input), used to *run* the motif on generated data.  Scratch
-//!   storage is leased from a shared, sharded [`BufferPool`] (a pool
-//!   worker leases through its own shard with best-fit reuse; see
-//!   [`crate::pool`]), so a DAG full of kernels recycles allocations
-//!   instead of re-allocating per granule — without contending on a
-//!   global free-list lock when concurrent cells share an executor.
+//!   logical input), used to *run* the motif on generated data.  Each
+//!   granule body allocates its own scratch vectors and frees them
+//!   before the next granule runs.
 //!
 //! # Granule execution model
 //!
@@ -41,8 +38,7 @@
 //! of maintaining their own `match motif { … }` blocks.
 //!
 //! Execution is deterministic: a kernel's digest depends only on `(n,
-//! seed)`, never on pool state or thread scheduling (leased buffers are
-//! zero-filled; see [`crate::pool`]).
+//! seed)`, never on what ran before it or on thread scheduling.
 
 use std::sync::OnceLock;
 
@@ -62,7 +58,6 @@ use crate::bigdata::{
 use crate::class::MotifKind;
 use crate::config::MotifConfig;
 use crate::cost;
-use crate::pool::BufferPool;
 
 // --- FNV-1a checksum folding (shared by all kernels) ---------------------
 
@@ -207,9 +202,9 @@ impl ChunkState {
 /// One data-motif implementation behind a uniform cost/execution interface.
 ///
 /// Implementations are stateless singletons owned by the [`MotifRegistry`];
-/// all per-invocation state lives in the arguments (and the leased pool
-/// buffers), which is what makes concurrent cells sharing one executor
-/// safe.
+/// all per-invocation state lives in the arguments and the granule
+/// body's own scratch, which is what makes concurrent cells sharing one
+/// executor safe.
 pub trait MotifKernel: Send + Sync + std::fmt::Debug {
     /// Which motif implementation this kernel realises.
     fn kind(&self) -> MotifKind;
@@ -223,15 +218,14 @@ pub trait MotifKernel: Send + Sync + std::fmt::Debug {
 
     /// Executes the sample kernel over one granule of generated input and
     /// returns the granule's outcome.  Deterministic in the context alone
-    /// (global element range, total size and seeds) — never in pool state
-    /// or scheduling.
-    fn execute_granule(&self, g: &GranuleCtx, pool: &BufferPool) -> u64;
+    /// (global element range, total size and seeds) — never in execution
+    /// history or scheduling.
+    fn execute_granule(&self, g: &GranuleCtx) -> u64;
 
     /// Really executes the scaled-down sample kernel over `n` generated
     /// elements seeded with `seed`, one granule at a time from granule 0,
-    /// leasing scratch storage from `pool`, and returns the execution
-    /// digest.
-    fn execute(&self, n: usize, seed: u64, pool: &BufferPool) -> u64 {
+    /// and returns the execution digest.
+    fn execute(&self, n: usize, seed: u64) -> u64 {
         let mut state = ChunkState::IDENTITY;
         for start in (0..n).step_by(CHUNK_GRANULE) {
             let index = (start / CHUNK_GRANULE) as u64;
@@ -242,7 +236,7 @@ pub trait MotifKernel: Send + Sync + std::fmt::Debug {
                 dataset_seed: seed,
                 seed: granule_seed(seed, index),
             };
-            let outcome = self.execute_granule(&g, pool);
+            let outcome = self.execute_granule(&g);
             state.absorb(index, g.len(), outcome);
         }
         state.finalize(self.kind())
@@ -252,7 +246,7 @@ pub trait MotifKernel: Send + Sync + std::fmt::Debug {
 /// Declares a private unit struct implementing [`MotifKernel`] for one
 /// [`MotifKind`], with the `execute_granule` body written inline.
 macro_rules! kernel {
-    ($struct:ident, $kind:ident, |$g:ident, $pool:ident| $body:expr) => {
+    ($struct:ident, $kind:ident, |$g:ident| $body:expr) => {
         #[derive(Debug)]
         struct $struct;
 
@@ -261,8 +255,7 @@ macro_rules! kernel {
                 MotifKind::$kind
             }
 
-            #[allow(unused_variables)]
-            fn execute_granule(&self, $g: &GranuleCtx, $pool: &BufferPool) -> u64 {
+            fn execute_granule(&self, $g: &GranuleCtx) -> u64 {
                 $body
             }
         }
@@ -271,7 +264,7 @@ macro_rules! kernel {
 
 // --- Big-data kernels ----------------------------------------------------
 
-kernel!(QuickSortKernel, QuickSort, |g, pool| {
+kernel!(QuickSortKernel, QuickSort, |g| {
     let mut keys = TextGenerator::new(g.dataset_seed)
         .generate_range(g.start, g.end)
         .keys();
@@ -279,14 +272,14 @@ kernel!(QuickSortKernel, QuickSort, |g, pool| {
     hash_keys(&keys)
 });
 
-kernel!(MergeSortKernel, MergeSort, |g, pool| {
+kernel!(MergeSortKernel, MergeSort, |g| {
     let keys = TextGenerator::new(g.dataset_seed)
         .generate_range(g.start, g.end)
         .keys();
     hash_keys(&sort::merge_sort(&keys))
 });
 
-kernel!(RandomSamplingKernel, RandomSampling, |g, pool| {
+kernel!(RandomSamplingKernel, RandomSampling, |g| {
     let start = g.start as u64;
     hash_u64s(
         sampling::random_sample_indices(g.len(), 0.1, g.seed)
@@ -295,7 +288,7 @@ kernel!(RandomSamplingKernel, RandomSampling, |g, pool| {
     )
 });
 
-kernel!(IntervalSamplingKernel, IntervalSampling, |g, pool| {
+kernel!(IntervalSamplingKernel, IntervalSampling, |g| {
     // First local index whose *global* index is a multiple of 10, so the
     // union over granules is exactly the global 1-in-10 progression.
     let offset = (10 - g.start % 10) % 10;
@@ -318,17 +311,17 @@ fn set_inputs(g: &GranuleCtx) -> (Vec<u64>, Vec<u64>) {
     (set_ops::normalize(&a), set_ops::normalize(&b))
 }
 
-kernel!(SetUnionKernel, SetUnion, |g, pool| {
+kernel!(SetUnionKernel, SetUnion, |g| {
     let (a, b) = set_inputs(g);
     hash_u64s(set_ops::union(&a, &b))
 });
 
-kernel!(SetIntersectionKernel, SetIntersection, |g, pool| {
+kernel!(SetIntersectionKernel, SetIntersection, |g| {
     let (a, b) = set_inputs(g);
     hash_u64s(set_ops::intersection(&a, &b))
 });
 
-kernel!(SetDifferenceKernel, SetDifference, |g, pool| {
+kernel!(SetDifferenceKernel, SetDifference, |g| {
     let (a, b) = set_inputs(g);
     hash_u64s(set_ops::difference(&a, &b))
 });
@@ -347,96 +340,80 @@ fn granule_graph(g: &GranuleCtx) -> dmpb_datagen::graph::CsrGraph {
     graph_ops::construct(vertices, &edges)
 }
 
-kernel!(GraphConstructKernel, GraphConstruct, |g, pool| {
+kernel!(GraphConstructKernel, GraphConstruct, |g| {
     let graph = granule_graph(g);
     hash_u64s([graph.num_edges() as u64, graph.max_out_degree() as u64])
 });
 
-kernel!(GraphTraversalKernel, GraphTraversal, |g, pool| {
+kernel!(GraphTraversalKernel, GraphTraversal, |g| {
     graph_ops::traversal_reach(&granule_graph(g), 0) as u64
 });
 
-fn statistics_values<'p>(pool: &'p BufferPool, g: &GranuleCtx) -> crate::pool::Lease<'p, f64> {
-    let mut values = pool.f64s(g.len());
-    for (i, v) in values.iter_mut().enumerate() {
-        *v = ((g.start + i) as f64 * 0.37).sin();
-    }
-    values
+fn statistics_values(g: &GranuleCtx) -> Vec<f64> {
+    (g.start..g.end).map(|i| (i as f64 * 0.37).sin()).collect()
 }
 
-kernel!(CountStatisticsKernel, CountStatistics, |g, pool| {
-    hash_f64s([statistics::count_average(&statistics_values(pool, g)).1])
+kernel!(CountStatisticsKernel, CountStatistics, |g| {
+    hash_f64s([statistics::count_average(&statistics_values(g)).1])
 });
 
-kernel!(MinMaxKernel, MinMax, |g, pool| {
-    let values = statistics_values(pool, g);
+kernel!(MinMaxKernel, MinMax, |g| {
+    let values = statistics_values(g);
     let (min, max) = statistics::min_max(&values).unwrap_or((0.0, 0.0));
     hash_f64s([min, max])
 });
 
-kernel!(
-    ProbabilityStatisticsKernel,
-    ProbabilityStatistics,
-    |g, pool| {
-        let keys: Vec<u32> = (g.start..g.end).map(|i| (i % 17) as u32).collect();
-        statistics::probabilities(&keys).len() as u64
-    }
-);
+kernel!(ProbabilityStatisticsKernel, ProbabilityStatistics, |g| {
+    let keys: Vec<u32> = (g.start..g.end).map(|i| (i % 17) as u32).collect();
+    statistics::probabilities(&keys).len() as u64
+});
 
-kernel!(Md5HashKernel, Md5Hash, |g, pool| {
+kernel!(Md5HashKernel, Md5Hash, |g| {
     let data = TextGenerator::new(g.dataset_seed).generate_range(g.start, g.end);
     hash_bytes(&logic::md5(data.as_bytes()))
 });
 
-kernel!(EncryptionKernel, Encryption, |g, pool| {
+kernel!(EncryptionKernel, Encryption, |g| {
     let data = TextGenerator::new(g.dataset_seed).generate_range(g.start, g.end);
     hash_bytes(&logic::xor_encrypt(data.as_bytes(), g.seed | 1))
 });
 
-fn fft_signal<'p>(pool: &'p BufferPool, g: &GranuleCtx) -> crate::pool::Lease<'p, f64> {
+fn fft_signal(g: &GranuleCtx) -> Vec<f64> {
     let len = g.len().next_power_of_two().clamp(64, 4096);
-    let mut signal = pool.f64s(len);
-    for (i, v) in signal.iter_mut().enumerate() {
-        *v = ((g.start + i) as f64 * 0.11).cos();
-    }
-    signal
+    (g.start..g.start + len)
+        .map(|i| (i as f64 * 0.11).cos())
+        .collect()
 }
 
-kernel!(FftKernel, Fft, |g, pool| {
-    let spectrum = transform::fft_real(&fft_signal(pool, g));
+kernel!(FftKernel, Fft, |g| {
+    let spectrum = transform::fft_real(&fft_signal(g));
     hash_f64s(spectrum.into_iter().map(|(re, _)| re))
 });
 
-kernel!(IfftKernel, Ifft, |g, pool| {
-    let spectrum = transform::fft_real(&fft_signal(pool, g));
+kernel!(IfftKernel, Ifft, |g| {
+    let spectrum = transform::fft_real(&fft_signal(g));
     hash_f64s(transform::ifft_real(&spectrum))
 });
 
-kernel!(DctKernel, Dct, |g, pool| {
+kernel!(DctKernel, Dct, |g| {
     // dct2 is O(len^2); capping the transform keeps the kernel linear in
     // the granule count at a fixed per-granule cost.
-    let mut samples = pool.f64s(g.len().min(256));
-    for (i, v) in samples.iter_mut().enumerate() {
-        *v = ((g.start + i) as f64 * 0.21).sin();
-    }
+    let samples: Vec<f64> = (g.start..g.start + g.len().min(256))
+        .map(|i| (i as f64 * 0.21).sin())
+        .collect();
     hash_f64s(transform::dct2(&samples))
 });
 
-kernel!(DistanceCalculationKernel, DistanceCalculation, |g, pool| {
-    let dim = g.len();
-    let mut a = pool.f64s(dim);
-    let mut b = pool.f64s(dim);
-    for i in 0..dim {
-        a[i] = ((g.start + i) as f64 * 0.3).sin();
-        b[i] = ((g.start + i) as f64 * 0.7).cos();
-    }
+kernel!(DistanceCalculationKernel, DistanceCalculation, |g| {
+    let a: Vec<f64> = (g.start..g.end).map(|i| (i as f64 * 0.3).sin()).collect();
+    let b: Vec<f64> = (g.start..g.end).map(|i| (i as f64 * 0.7).cos()).collect();
     hash_f64s([
         matrix_ops::euclidean_distance(&a, &b),
         matrix_ops::cosine_distance(&a, &b),
     ])
 });
 
-kernel!(MatrixMultiplyKernel, MatrixMultiply, |g, pool| {
+kernel!(MatrixMultiplyKernel, MatrixMultiply, |g| {
     let size = (g.len() as f64).sqrt().ceil().clamp(4.0, 64.0) as usize;
     let a = MatrixSpec::dense(size, size, g.seed).generate_dense();
     let b = MatrixSpec::dense(size, size, g.seed ^ 1).generate_dense();
@@ -449,7 +426,7 @@ fn granule_tensor(g: &GranuleCtx) -> dmpb_datagen::image::ImageTensor {
     ImageGenerator::new(g.seed).generate(TensorShape::new(1, 3, 16, 16), TensorLayout::Nchw)
 }
 
-kernel!(ConvolutionKernel, Convolution, |g, pool| {
+kernel!(ConvolutionKernel, Convolution, |g| {
     let filters = FilterBank::constant(4, 3, 3, 0.1);
     hash_f64s(
         conv2d(&granule_tensor(g), &filters, 1, Padding::Same)
@@ -459,7 +436,7 @@ kernel!(ConvolutionKernel, Convolution, |g, pool| {
     )
 });
 
-kernel!(MaxPoolingKernel, MaxPooling, |g, pool| {
+kernel!(MaxPoolingKernel, MaxPooling, |g| {
     hash_f64s(
         max_pool2d(&granule_tensor(g), 2, 2)
             .as_slice()
@@ -468,7 +445,7 @@ kernel!(MaxPoolingKernel, MaxPooling, |g, pool| {
     )
 });
 
-kernel!(AveragePoolingKernel, AveragePooling, |g, pool| {
+kernel!(AveragePoolingKernel, AveragePooling, |g| {
     hash_f64s(
         average_pool2d(&granule_tensor(g), 2, 2)
             .as_slice()
@@ -477,25 +454,18 @@ kernel!(AveragePoolingKernel, AveragePooling, |g, pool| {
     )
 });
 
-kernel!(FullyConnectedKernel, FullyConnected, |g, pool| {
+kernel!(FullyConnectedKernel, FullyConnected, |g| {
     let batch = (g.len() / 64).max(1);
-    let mut input = pool.f32s(batch * 64);
-    for (i, v) in input.iter_mut().enumerate() {
-        *v = (g.start + i) as f32 * 0.01;
-    }
-    let mut weights = pool.f32s(64 * 8);
-    for (i, v) in weights.iter_mut().enumerate() {
-        *v = (i % 7) as f32 * 0.1;
-    }
+    let input: Vec<f32> = (g.start..g.start + batch * 64)
+        .map(|i| i as f32 * 0.01)
+        .collect();
+    let weights: Vec<f32> = (0..64 * 8).map(|i| (i % 7) as f32 * 0.1).collect();
     let out = fully_connected::fully_connected(&input, &weights, &[0.0; 8], batch, 64, 8);
     hash_f64s(out.into_iter().map(f64::from))
 });
 
-kernel!(ElementWiseMultiplyKernel, ElementWiseMultiply, |g, pool| {
-    let mut a = pool.f32s(g.len());
-    for (i, v) in a.iter_mut().enumerate() {
-        *v = (g.start + i) as f32 * 0.5;
-    }
+kernel!(ElementWiseMultiplyKernel, ElementWiseMultiply, |g| {
+    let a: Vec<f32> = (g.start..g.end).map(|i| i as f32 * 0.5).collect();
     hash_f64s(
         fully_connected::element_wise_multiply(&a, &a)
             .into_iter()
@@ -503,31 +473,29 @@ kernel!(ElementWiseMultiplyKernel, ElementWiseMultiply, |g, pool| {
     )
 });
 
-fn activation_input<'p>(pool: &'p BufferPool, g: &GranuleCtx) -> crate::pool::Lease<'p, f32> {
-    let mut x = pool.f32s(g.len());
-    for (i, v) in x.iter_mut().enumerate() {
-        *v = ((g.start + i) as f32 - 512.0) * 0.01;
-    }
-    x
+fn activation_input(g: &GranuleCtx) -> Vec<f32> {
+    (g.start..g.end)
+        .map(|i| (i as f32 - 512.0) * 0.01)
+        .collect()
 }
 
-kernel!(SigmoidKernel, Sigmoid, |g, pool| {
-    let x = activation_input(pool, g);
+kernel!(SigmoidKernel, Sigmoid, |g| {
+    let x = activation_input(g);
     hash_f64s(activation::sigmoid(&x).into_iter().map(f64::from))
 });
 
-kernel!(TanhKernel, Tanh, |g, pool| {
-    let x = activation_input(pool, g);
+kernel!(TanhKernel, Tanh, |g| {
+    let x = activation_input(g);
     hash_f64s(activation::tanh(&x).into_iter().map(f64::from))
 });
 
-kernel!(ReluKernel, Relu, |g, pool| {
-    let x = activation_input(pool, g);
+kernel!(ReluKernel, Relu, |g| {
+    let x = activation_input(g);
     hash_f64s(activation::relu(&x).into_iter().map(f64::from))
 });
 
-kernel!(SoftmaxKernel, Softmax, |g, pool| {
-    let x = activation_input(pool, g);
+kernel!(SoftmaxKernel, Softmax, |g| {
+    let x = activation_input(g);
     hash_f64s(
         activation::softmax(&x, x.len().max(1))
             .into_iter()
@@ -535,9 +503,8 @@ kernel!(SoftmaxKernel, Softmax, |g, pool| {
     )
 });
 
-kernel!(DropoutKernel, Dropout, |g, pool| {
-    let mut x = pool.f32s(g.len());
-    x.fill(1.0);
+kernel!(DropoutKernel, Dropout, |g| {
+    let x = vec![1.0f32; g.len()];
     hash_f64s(
         regularization::dropout(&x, 0.5, g.seed)
             .into_iter()
@@ -545,16 +512,12 @@ kernel!(DropoutKernel, Dropout, |g, pool| {
     )
 });
 
-fn normalization_input<'p>(pool: &'p BufferPool, g: &GranuleCtx) -> crate::pool::Lease<'p, f32> {
-    let mut x = pool.f32s(g.len());
-    for (i, v) in x.iter_mut().enumerate() {
-        *v = (g.start + i) as f32 * 0.3;
-    }
-    x
+fn normalization_input(g: &GranuleCtx) -> Vec<f32> {
+    (g.start..g.end).map(|i| i as f32 * 0.3).collect()
 }
 
-kernel!(BatchNormalizationKernel, BatchNormalization, |g, pool| {
-    let x = normalization_input(pool, g);
+kernel!(BatchNormalizationKernel, BatchNormalization, |g| {
+    let x = normalization_input(g);
     hash_f64s(
         normalization::cosine_normalize(&x)
             .into_iter()
@@ -562,8 +525,8 @@ kernel!(BatchNormalizationKernel, BatchNormalization, |g, pool| {
     )
 });
 
-kernel!(CosineNormalizationKernel, CosineNormalization, |g, pool| {
-    let x = normalization_input(pool, g);
+kernel!(CosineNormalizationKernel, CosineNormalization, |g| {
+    let x = normalization_input(g);
     hash_f64s(
         normalization::cosine_normalize(&x)
             .into_iter()
@@ -571,21 +534,17 @@ kernel!(CosineNormalizationKernel, CosineNormalization, |g, pool| {
     )
 });
 
-fn reduce_input<'p>(pool: &'p BufferPool, g: &GranuleCtx) -> crate::pool::Lease<'p, f32> {
-    let mut x = pool.f32s(g.len());
-    for (i, v) in x.iter_mut().enumerate() {
-        *v = (g.start + i) as f32;
-    }
-    x
+fn reduce_input(g: &GranuleCtx) -> Vec<f32> {
+    (g.start..g.end).map(|i| i as f32).collect()
 }
 
-kernel!(ReduceSumKernel, ReduceSum, |g, pool| {
-    hash_f64s([f64::from(reduce::reduce_sum(&reduce_input(pool, g)))])
+kernel!(ReduceSumKernel, ReduceSum, |g| {
+    hash_f64s([f64::from(reduce::reduce_sum(&reduce_input(g)))])
 });
 
-kernel!(ReduceMaxKernel, ReduceMax, |g, pool| {
+kernel!(ReduceMaxKernel, ReduceMax, |g| {
     hash_f64s([f64::from(
-        reduce::reduce_max(&reduce_input(pool, g)).unwrap_or(0.0),
+        reduce::reduce_max(&reduce_input(g)).unwrap_or(0.0),
     )])
 });
 
@@ -713,26 +672,24 @@ mod tests {
     #[test]
     fn every_kernel_executes_deterministically() {
         let registry = MotifRegistry::global();
-        let pool = BufferPool::new();
         for kernel in registry.kernels() {
-            let a = kernel.execute(128, 3, &pool);
-            let b = kernel.execute(128, 3, &pool);
+            let a = kernel.execute(128, 3);
+            let b = kernel.execute(128, 3);
             assert_eq!(a, b, "{} is not deterministic", kernel.kind());
         }
     }
 
     #[test]
-    fn checksums_do_not_depend_on_pool_reuse() {
+    fn checksums_do_not_depend_on_execution_history() {
         let registry = MotifRegistry::global();
         for kind in MotifKind::ALL {
-            let fresh = registry.kernel(kind).execute(200, 9, &BufferPool::new());
-            let warm_pool = BufferPool::new();
-            // Dirty the pool with other kernels first.
+            let fresh = registry.kernel(kind).execute(200, 9);
+            // Dirty the allocator with every other kernel first.
             for other in MotifKind::ALL {
-                registry.kernel(other).execute(64, 1, &warm_pool);
+                registry.kernel(other).execute(64, 1);
             }
-            let warm = registry.kernel(kind).execute(200, 9, &warm_pool);
-            assert_eq!(fresh, warm, "{kind} checksum depends on pool state");
+            let dirtied = registry.kernel(kind).execute(200, 9);
+            assert_eq!(fresh, dirtied, "{kind} checksum depends on what ran before");
         }
     }
 
@@ -747,20 +704,6 @@ mod tests {
         assert_eq!(
             via_kernel.total_instructions(),
             via_model.total_instructions()
-        );
-    }
-
-    #[test]
-    fn kernels_share_one_pool_across_kinds() {
-        let registry = MotifRegistry::global();
-        let pool = BufferPool::new();
-        registry
-            .kernel(MotifKind::CountStatistics)
-            .execute(512, 1, &pool);
-        registry.kernel(MotifKind::MinMax).execute(512, 2, &pool);
-        assert!(
-            pool.stats().reused >= 1,
-            "second statistics kernel must recycle the first one's buffer"
         );
     }
 }

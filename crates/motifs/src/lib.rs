@@ -26,8 +26,7 @@
 //!
 //! Both faces are unified behind the [`kernel::MotifKernel`] trait: the
 //! [`kernel::MotifRegistry`] holds one kernel object per [`MotifKind`],
-//! exposing `cost_profile(...)` and `execute(...)` over a shared
-//! intermediate-buffer pool ([`pool::BufferPool`]).  Downstream crates
+//! exposing `cost_profile(...)` and `execute(n, seed)`.  Downstream crates
 //! dispatch through the registry instead of per-kind `match` blocks, and
 //! workload models declare fork/join structure with a
 //! [`topology::DagPlan`].
@@ -41,7 +40,6 @@ pub mod class;
 pub mod config;
 pub mod cost;
 pub mod kernel;
-pub mod pool;
 pub mod profile;
 pub mod topology;
 pub mod workers;
@@ -49,7 +47,6 @@ pub mod workers;
 pub use class::{MotifClass, MotifKind};
 pub use config::MotifConfig;
 pub use kernel::{GranuleCtx, MotifKernel, MotifRegistry};
-pub use pool::BufferPool;
 pub use profile::{KernelProfile, KernelProfiler};
 pub use topology::{DagPlan, PlanEdge};
 pub use workers::WorkerPool;

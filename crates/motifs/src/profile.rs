@@ -5,9 +5,7 @@
 //! [`MotifKind`] gets a cache-line-padded slot of
 //! relaxed atomic counters — invocations, elements processed, cumulative
 //! nanoseconds — plus a lock-free
-//! [`LatencyHistogram`], and
-//! the [`BufferPool`](crate::BufferPool) feeds per-capacity-class lease
-//! counts into the same profiler.
+//! [`LatencyHistogram`].
 //!
 //! Three properties make the profiler safe to leave compiled into the
 //! hot dispatch path:
@@ -41,16 +39,6 @@ use crate::class::MotifKind;
 /// Number of profiled kinds (one slot per [`MotifKind`]).
 const KINDS: usize = MotifKind::ALL.len();
 
-/// Number of power-of-two lease capacity classes tracked per element
-/// type (mirrors the [`BufferPool`](crate::BufferPool) bucket classes).
-pub const LEASE_CLASSES: usize = usize::BITS as usize + 1;
-
-/// The capacity class of a lease of `len` elements: the smallest `b`
-/// with `2^b >= len` (class 0 covers empty and single-element leases).
-pub fn lease_class(len: usize) -> usize {
-    (usize::BITS - len.max(1).saturating_sub(1).leading_zeros()) as usize
-}
-
 /// One motif kind's counters, padded to two cache lines so concurrent
 /// recorders of *different* kinds never bounce a line between cores.
 #[repr(align(128))]
@@ -62,8 +50,8 @@ struct KindSlot {
     latency: LatencyHistogram,
 }
 
-/// Lock-free, per-[`MotifKind`] execution counters plus buffer-lease
-/// size distributions (see the [module documentation](self)).
+/// Lock-free, per-[`MotifKind`] execution counters (see the
+/// [module documentation](self)).
 ///
 /// Most callers use the process-wide [`KernelProfiler::global`]; tests
 /// construct private instances.
@@ -71,8 +59,6 @@ struct KindSlot {
 pub struct KernelProfiler {
     enabled: AtomicBool,
     slots: [KindSlot; KINDS],
-    lease_f64: [AtomicU64; LEASE_CLASSES],
-    lease_f32: [AtomicU64; LEASE_CLASSES],
 }
 
 impl Default for KernelProfiler {
@@ -87,13 +73,10 @@ impl KernelProfiler {
         Self {
             enabled: AtomicBool::new(false),
             slots: std::array::from_fn(|_| KindSlot::default()),
-            lease_f64: std::array::from_fn(|_| AtomicU64::new(0)),
-            lease_f32: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
-    /// The process-wide profiler the executor and buffer pool sample
-    /// into.
+    /// The process-wide profiler the executor samples into.
     pub fn global() -> &'static KernelProfiler {
         static PROFILER: OnceLock<KernelProfiler> = OnceLock::new();
         PROFILER.get_or_init(KernelProfiler::new)
@@ -124,9 +107,6 @@ impl KernelProfiler {
             slot.ns.store(0, Ordering::Relaxed);
             slot.latency.reset();
         }
-        for counter in self.lease_f64.iter().chain(&self.lease_f32) {
-            counter.store(0, Ordering::Relaxed);
-        }
     }
 
     /// Records one kernel execution (one DAG edge).  Callers check
@@ -139,17 +119,6 @@ impl KernelProfiler {
         slot.elements.fetch_add(elements as u64, Ordering::Relaxed);
         slot.ns.fetch_add(ns, Ordering::Relaxed);
         slot.latency.record_ns(ns);
-    }
-
-    /// Records one `f64` buffer lease of `len` elements (called by the
-    /// pool only while enabled).
-    pub fn record_lease_f64(&self, len: usize) {
-        self.lease_f64[lease_class(len)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one `f32` buffer lease of `len` elements.
-    pub fn record_lease_f32(&self, len: usize) {
-        self.lease_f32[lease_class(len)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of every counter.
@@ -166,8 +135,6 @@ impl KernelProfiler {
                     latency: slot.latency.snapshot(),
                 })
                 .collect(),
-            lease_f64: std::array::from_fn(|i| self.lease_f64[i].load(Ordering::Relaxed)),
-            lease_f32: std::array::from_fn(|i| self.lease_f32[i].load(Ordering::Relaxed)),
         }
     }
 }
@@ -193,10 +160,6 @@ pub struct KernelProfile {
     /// Per-kind counters in [`MotifKind::ALL`] order (all 33 entries,
     /// including never-invoked kinds).
     pub kinds: Vec<KernelProfileEntry>,
-    /// `f64` lease counts per power-of-two capacity class.
-    pub lease_f64: [u64; LEASE_CLASSES],
-    /// `f32` lease counts per power-of-two capacity class.
-    pub lease_f32: [u64; LEASE_CLASSES],
 }
 
 impl KernelProfile {
@@ -231,9 +194,8 @@ impl KernelProfile {
     }
 
     /// Serializes the profile as JSON lines: one `record:"profile"`
-    /// header with the totals, one `record:"kind"` line per *invoked*
-    /// kind (hottest first), and one `record:"lease"` line per non-empty
-    /// capacity class.  Every line is a flat object readable by
+    /// header with the totals and one `record:"kind"` line per *invoked*
+    /// kind (hottest first).  Every line is a flat object readable by
     /// [`dmpb_metrics::json::parse_object`].
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
@@ -268,20 +230,6 @@ impl KernelProfile {
             );
             out.push_str(&w.finish());
             out.push('\n');
-        }
-        for (label, classes) in [("f64", &self.lease_f64), ("f32", &self.lease_f32)] {
-            for (class, &count) in classes.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                let mut w = ObjectWriter::new();
-                w.field_str("record", "lease");
-                w.field_str("type", label);
-                w.field_int("capacity", (1u64 << class.min(62)) as i64);
-                w.field_int("count", count as i64);
-                out.push_str(&w.finish());
-                out.push('\n');
-            }
         }
         out
     }
@@ -341,29 +289,11 @@ mod tests {
         let p = KernelProfiler::new();
         p.set_enabled(true);
         p.record(MotifKind::Relu, 10, Duration::from_micros(1));
-        p.record_lease_f64(1024);
         p.reset();
         assert!(p.enabled());
         let profile = p.snapshot();
         assert_eq!(profile.total_invocations(), 0);
-        assert_eq!(profile.lease_f64.iter().sum::<u64>(), 0);
         assert_eq!(profile.entry(MotifKind::Relu).latency.count, 0);
-    }
-
-    #[test]
-    fn lease_classes_follow_the_pool_bucketing() {
-        assert_eq!(lease_class(0), 0);
-        assert_eq!(lease_class(1), 0);
-        assert_eq!(lease_class(2), 1);
-        assert_eq!(lease_class(1024), 10);
-        assert_eq!(lease_class(1025), 11);
-        let p = KernelProfiler::new();
-        p.record_lease_f64(100);
-        p.record_lease_f64(128);
-        p.record_lease_f32(4096);
-        let profile = p.snapshot();
-        assert_eq!(profile.lease_f64[lease_class(100)], 2);
-        assert_eq!(profile.lease_f32[lease_class(4096)], 1);
     }
 
     #[test]
@@ -371,10 +301,9 @@ mod tests {
         let p = KernelProfiler::new();
         p.record(MotifKind::QuickSort, 512, Duration::from_micros(80));
         p.record(MotifKind::GraphTraversal, 256, Duration::from_micros(40));
-        p.record_lease_f64(200);
         let dump = p.snapshot().to_jsonl();
         let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 4, "header + 2 kinds + 1 lease: {dump}");
+        assert_eq!(lines.len(), 3, "header + 2 kinds: {dump}");
         for line in &lines {
             parse_object(line).unwrap_or_else(|e| panic!("bad line {line}: {e}"));
         }
@@ -383,6 +312,5 @@ mod tests {
             lines[1].contains("\"kind\":\"quick-sort\""),
             "hottest first"
         );
-        assert!(lines[3].contains("\"capacity\":256"));
     }
 }

@@ -35,7 +35,6 @@
 //! into pre-indexed slots, so any interleaving produces byte-identical
 //! output.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
@@ -108,21 +107,6 @@ impl Shared {
     }
 }
 
-thread_local! {
-    /// The index of the pool worker running on this thread, `None` on
-    /// external threads.
-    static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// The index of the pool worker running on the current thread, if any.
-///
-/// Sharded resources (notably [`crate::pool::BufferPool`]) use this to
-/// pick a per-worker shard without threading pool handles through every
-/// kernel signature.
-pub fn current_worker_index() -> Option<usize> {
-    WORKER_INDEX.with(Cell::get)
-}
-
 /// Runs one task, routing a panic into the scope state, and signals the
 /// scope's waiter when it was the last one.
 fn run_task(shared: &Shared, task: Task) {
@@ -138,8 +122,7 @@ fn run_task(shared: &Shared, task: Task) {
 
 /// The long-lived background worker body: run queued tasks until
 /// shutdown, blocking while the queue is empty.
-fn worker_loop(shared: Arc<Shared>, index: usize) {
-    WORKER_INDEX.with(|slot| slot.set(Some(index)));
+fn worker_loop(shared: Arc<Shared>) {
     let mut queue = shared.lock();
     loop {
         if let Some(task) = queue.tasks.pop_front() {
@@ -253,7 +236,7 @@ impl WorkerPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("dmpb-worker-{index}"))
-                    .spawn(move || worker_loop(shared, index))
+                    .spawn(move || worker_loop(shared))
                     .expect("failed to spawn pool worker")
             })
             .collect();
@@ -426,29 +409,6 @@ mod tests {
             "steady-state scopes must not spawn threads"
         );
         assert_eq!(pool.workers(), 4);
-    }
-
-    #[test]
-    fn worker_indices_are_exposed_to_tasks() {
-        let pool = WorkerPool::new(2);
-        // The external caller has no worker index; pool workers do.  With
-        // the caller helping, some tasks may legitimately observe `None`.
-        assert_eq!(current_worker_index(), None);
-        let seen = Mutex::new(Vec::new());
-        pool.scope(|s| {
-            for _ in 0..64 {
-                let seen = &seen;
-                s.spawn(move || {
-                    seen.lock().unwrap().push(current_worker_index());
-                    std::thread::yield_now();
-                });
-            }
-        });
-        let seen = seen.into_inner().unwrap();
-        assert_eq!(seen.len(), 64);
-        assert!(seen
-            .iter()
-            .all(|slot| matches!(slot, None | Some(0) | Some(1))));
     }
 
     /// Back-to-back tiny scopes race every wakeup path: a worker

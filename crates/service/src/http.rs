@@ -86,7 +86,11 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     let mut header_bytes = 0usize;
     loop {
         let mut line = String::new();
+        // One byte past the remaining budget is enough to overflow it, so
+        // a line with no newline cannot grow without bound.
         reader
+            .by_ref()
+            .take((MAX_HEADER_BYTES - header_bytes + 1) as u64)
             .read_line(&mut line)
             .map_err(|e| HttpError::bad_request(format!("reading headers: {e}")))?;
         header_bytes += line.len();
@@ -339,5 +343,29 @@ mod tests {
         std::io::Read::read_to_end(&mut stream, &mut out).unwrap();
         assert!(String::from_utf8_lossy(&out).starts_with("HTTP/1.1 413"));
         server.join().unwrap();
+    }
+
+    /// A header line with no newline ends in 431 once it passes the
+    /// header budget, instead of growing until the client gives up.
+    #[test]
+    fn overlong_header_lines_are_rejected_with_431() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+                .unwrap();
+            read_request(&mut stream).unwrap_err().status
+        });
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        let mut request = b"GET /x HTTP/1.1\r\nx-long: ".to_vec();
+        request.resize(request.len() + 64 * 1024, b'a');
+        // The server may stop reading and close before all of it is sent.
+        let _ = stream.write_all(&request);
+        // The socket stays open, the line unterminated, until the server
+        // has answered.
+        assert_eq!(server.join().unwrap(), 431);
+        drop(stream);
     }
 }

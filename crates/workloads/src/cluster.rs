@@ -86,11 +86,6 @@ impl ClusterConfig {
     pub fn slave_nodes(&self) -> u32 {
         self.total_nodes.saturating_sub(1).max(1)
     }
-
-    /// Total worker tasks across the cluster.
-    pub fn total_tasks(&self) -> u32 {
-        self.slave_nodes() * self.tasks_per_node
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +96,6 @@ mod tests {
     fn five_node_cluster_has_four_slaves() {
         let c = ClusterConfig::five_node_westmere();
         assert_eq!(c.slave_nodes(), 4);
-        assert_eq!(c.total_tasks(), 48);
         assert_eq!(c.node.memory_gb, 32);
     }
 

@@ -83,8 +83,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For random acyclic topologies — not just the eight curated
-    /// workload DAGs — a repeat run on a shared executor (its buffer pool
-    /// warm) and a run on a fresh executor must be byte-identical.
+    /// workload DAGs — a repeat run on a shared executor (after the first
+    /// run) and a run on a fresh executor must be byte-identical.
     #[test]
     fn random_acyclic_dags_execute_identically_on_repeat_and_fresh_executors(
         nodes in 2usize..10,
@@ -100,7 +100,7 @@ proptest! {
         prop_assert_eq!(&first, &repeat,
             "a repeat run changed the execution:\n{}", dag.describe());
         prop_assert_eq!(&first, &fresh,
-            "a warm buffer pool changed the execution:\n{}", dag.describe());
+            "a fresh executor changed the execution:\n{}", dag.describe());
     }
 }
 
@@ -135,7 +135,7 @@ proptest! {
 
     /// Digest invariance holds for arbitrary seeds and element budgets,
     /// not just the pinned ones, while `workers` concurrent cells share
-    /// one executor (and its sharded buffer pool) on a worker pool.
+    /// one executor on a worker pool.
     #[test]
     fn dag_executor_digest_is_seedwise_parallelism_invariant(
         seed in 0u64..1_000,
