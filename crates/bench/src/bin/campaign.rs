@@ -12,7 +12,7 @@
 //!                             exit 1 on accuracy regressions / changed
 //!                             or missing cells
 //!   --write-baseline <path>   write this run's cells as a baseline
-//!   --workers <N>             worker-pool width (scenario [executor]
+//!   --workers <N>             cells run at once (scenario [executor]
 //!                             wins for its own run)
 //!   --expect-hit-ratio <R>    exit 1 if fewer than R of the cells were
 //!                             served from the store (CI warm-run gate)
@@ -317,8 +317,8 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // No pool is built here: the runner builds its cell pool on the
-    // first campaign wider than one cell.
+    // No thread is started here: each campaign runs its cells on scoped
+    // threads that end with it.
     let store = match &options.store {
         None => ResultStore::in_memory(),
         Some(path) => match ResultStore::open_sharded(

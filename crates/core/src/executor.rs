@@ -37,7 +37,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dmpb_datagen::rng::derive_seed;
-use dmpb_motifs::{KernelProfiler, MotifKernel, MotifKind, MotifRegistry, WorkerPool};
+use dmpb_motifs::workers::WorkerPool;
+use dmpb_motifs::{KernelProfiler, MotifKernel, MotifKind, MotifRegistry};
 
 use crate::dag::ProxyDag;
 
@@ -182,6 +183,7 @@ impl DagExecutor {
 mod tests {
     use super::*;
     use dmpb_datagen::{DataClass, DataDescriptor, Distribution};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     fn descriptor() -> DataDescriptor {
@@ -241,25 +243,29 @@ mod tests {
     }
 
     /// Concurrent cells share one executor: executions running at once
-    /// on pool workers must match a lone serial run, on any pool width
-    /// and every repeat.
+    /// on several threads must match a lone serial run, at any width and
+    /// every repeat.
     #[test]
     fn checksum_is_identical_across_worker_counts_and_repeats() {
         let dag = diamond();
         let serial = DagExecutor::new().execute(&dag, 2_000, 42);
-        for workers in [0, 3] {
+        for workers in [1, 4] {
             let executor = DagExecutor::new();
             let runs = Mutex::new(Vec::new());
-            WorkerPool::new(workers).scope(|s| {
-                for _ in 0..8 {
-                    let (executor, dag, runs) = (&executor, &dag, &runs);
-                    s.spawn(move || {
-                        let run = executor.execute(dag, 2_000, 42);
-                        runs.lock().unwrap().push(run);
+            let cursor = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                for _ in 0..workers {
+                    s.spawn(|| {
+                        while cursor.fetch_add(1, Ordering::Relaxed) < 8 {
+                            let run = executor.execute(&dag, 2_000, 42);
+                            runs.lock().unwrap().push(run);
+                        }
                     });
                 }
             });
-            for run in runs.into_inner().unwrap() {
+            let runs = runs.into_inner().unwrap();
+            assert_eq!(runs.len(), 8);
+            for run in runs {
                 assert_eq!(run, serial, "{workers} workers changed the execution");
             }
         }

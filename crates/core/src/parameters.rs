@@ -61,16 +61,6 @@ pub enum Direction {
     Down,
 }
 
-impl Direction {
-    /// The opposite direction.
-    pub fn opposite(&self) -> Direction {
-        match self {
-            Direction::Up => Direction::Down,
-            Direction::Down => Direction::Up,
-        }
-    }
-}
-
 /// The concrete parameter vector of one proxy benchmark.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProxyParameters {
@@ -262,11 +252,5 @@ mod tests {
         assert_eq!(c.num_tasks, 4);
         assert!(!c.spill_to_disk);
         assert_eq!((c.height, c.width, c.channels), (32, 32, 3));
-    }
-
-    #[test]
-    fn direction_opposite_round_trips() {
-        assert_eq!(Direction::Up.opposite(), Direction::Down);
-        assert_eq!(Direction::Down.opposite().opposite(), Direction::Down);
     }
 }

@@ -139,12 +139,6 @@ impl DataDescriptor {
         }
     }
 
-    /// Number of non-zero elements implied by the sparsity.
-    pub fn nonzero_elements(&self) -> u64 {
-        let nz = self.element_count() as f64 * (1.0 - self.sparsity);
-        nz.round() as u64
-    }
-
     /// Returns a copy scaled to a new total volume, keeping every other
     /// property.  This is how the proxy generator scales a 100 GB input
     /// down to the proxy's data size (the `dataSize` parameter of Table I).
@@ -189,11 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn nonzero_elements_follow_sparsity() {
-        assert_eq!(descriptor().nonzero_elements(), 250);
-    }
-
-    #[test]
     fn scaled_to_changes_only_volume() {
         let d = descriptor().scaled_to(10_000);
         assert_eq!(d.total_bytes, 10_000);
@@ -212,7 +201,6 @@ mod tests {
     fn zero_volume_has_no_elements() {
         let d = descriptor().scaled_to(0);
         assert_eq!(d.element_count(), 0);
-        assert_eq!(d.nonzero_elements(), 0);
     }
 
     #[test]

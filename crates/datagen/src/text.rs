@@ -24,20 +24,6 @@ pub struct RecordSet {
 }
 
 impl RecordSet {
-    /// Wraps an existing buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer length is not a multiple of [`RECORD_LEN`].
-    pub fn from_bytes(data: Vec<u8>) -> Self {
-        assert!(
-            data.len() % RECORD_LEN == 0,
-            "record buffer length {} is not a multiple of {RECORD_LEN}",
-            data.len()
-        );
-        Self { data }
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         self.data.len() / RECORD_LEN
@@ -85,11 +71,6 @@ impl RecordSet {
                 k
             })
             .collect()
-    }
-
-    /// Returns true if the records are sorted by key (ascending).
-    pub fn is_sorted_by_key(&self) -> bool {
-        self.keys().windows(2).all(|w| w[0] <= w[1])
     }
 }
 
@@ -220,14 +201,14 @@ mod tests {
     fn fresh_records_are_not_sorted() {
         // 1000 uniformly random keys are sorted with probability ~0.
         let rs = TextGenerator::new(5).generate(1000);
-        assert!(!rs.is_sorted_by_key());
+        assert!(!rs.keys().windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
     fn empty_set_is_sorted_and_empty() {
         let rs = TextGenerator::new(6).generate(0);
         assert!(rs.is_empty());
-        assert!(rs.is_sorted_by_key());
+        assert!(rs.keys().windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
@@ -257,12 +238,6 @@ mod tests {
             part.as_bytes(),
             &whole.as_bytes()[start * RECORD_LEN..end * RECORD_LEN]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple")]
-    fn from_bytes_rejects_misaligned_buffer() {
-        let _ = RecordSet::from_bytes(vec![0u8; 150]);
     }
 
     #[test]

@@ -75,22 +75,6 @@ impl SparseVector {
         }
         out
     }
-
-    /// Squared euclidean distance to a dense vector of the same dimension.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn squared_distance_to_dense(&self, other: &[f64]) -> f64 {
-        assert_eq!(self.dim, other.len(), "dimension mismatch");
-        // ||x - y||^2 = ||y||^2 - sum over nz of (y_i^2 - (x_i - y_i)^2)
-        let mut acc: f64 = other.iter().map(|v| v * v).sum();
-        for (&i, &v) in self.indices.iter().zip(&self.values) {
-            let y = other[i as usize];
-            acc += (v - y) * (v - y) - y * y;
-        }
-        acc.max(0.0)
-    }
 }
 
 /// Specification of a vector data set.
@@ -270,20 +254,6 @@ mod tests {
     fn sparse_to_dense_round_trip() {
         let v = SparseVector::new(5, vec![1, 3], vec![2.0, -4.0]);
         assert_eq!(v.to_dense(), vec![0.0, 2.0, 0.0, -4.0, 0.0]);
-    }
-
-    #[test]
-    fn squared_distance_matches_dense_computation() {
-        let v = SparseVector::new(4, vec![0, 2], vec![1.0, 3.0]);
-        let dense = v.to_dense();
-        let other = vec![0.5, -1.0, 2.0, 4.0];
-        let expected: f64 = dense
-            .iter()
-            .zip(&other)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum();
-        let got = v.squared_distance_to_dense(&other);
-        assert!((expected - got).abs() < 1e-9);
     }
 
     #[test]

@@ -81,17 +81,6 @@ impl InstructionMix {
         self.load + self.store
     }
 
-    /// Per-category values paired with their report labels.
-    pub fn categories(&self) -> [(&'static str, f64); 5] {
-        [
-            ("integer", self.integer),
-            ("floating-point", self.floating_point),
-            ("load", self.load),
-            ("store", self.store),
-            ("branch", self.branch),
-        ]
-    }
-
     /// Weighted blend of two mixes: `self * (1 - t) + other * t`.
     ///
     /// # Panics
@@ -159,12 +148,5 @@ mod tests {
     fn blend_rejects_out_of_range_factor() {
         let a = InstructionMix::zero();
         let _ = a.blend(&a, 2.0);
-    }
-
-    #[test]
-    fn categories_cover_all_fields() {
-        let mix = InstructionMix::from_counts(1, 2, 3, 4, 5);
-        let sum: f64 = mix.categories().iter().map(|(_, v)| v).sum();
-        assert!((sum - mix.total()).abs() < 1e-12);
     }
 }

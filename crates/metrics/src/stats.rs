@@ -26,25 +26,6 @@ pub fn std_dev(values: &[f64]) -> Option<f64> {
     Some(var.sqrt())
 }
 
-/// Coefficient of variation (std dev / mean); `None` for an empty slice or
-/// a zero mean.
-pub fn coefficient_of_variation(values: &[f64]) -> Option<f64> {
-    let m = mean(values)?;
-    if m == 0.0 {
-        return None;
-    }
-    Some(std_dev(values)? / m)
-}
-
-/// Relative change `(new - old) / old`; `None` when `old` is zero.
-pub fn relative_change(old: f64, new: f64) -> Option<f64> {
-    if old == 0.0 {
-        None
-    } else {
-        Some((new - old) / old)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,18 +53,5 @@ mod tests {
     fn std_dev_matches_hand_computation() {
         let sd = std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
         assert!((sd - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cov_handles_degenerate_input() {
-        assert_eq!(coefficient_of_variation(&[]), None);
-        assert_eq!(coefficient_of_variation(&[0.0, 0.0]), None);
-        assert!(coefficient_of_variation(&[1.0, 1.0]).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn relative_change_matches_definition() {
-        assert_eq!(relative_change(10.0, 15.0), Some(0.5));
-        assert_eq!(relative_change(0.0, 15.0), None);
     }
 }

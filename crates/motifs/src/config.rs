@@ -59,12 +59,6 @@ impl MotifConfig {
         }
     }
 
-    /// Returns a copy with a different chunk size.
-    pub fn with_chunk_bytes(mut self, chunk_bytes: u64) -> Self {
-        self.chunk_bytes = chunk_bytes;
-        self
-    }
-
     /// Returns a copy with a different task count.
     pub fn with_num_tasks(mut self, num_tasks: u32) -> Self {
         self.num_tasks = num_tasks;
@@ -116,12 +110,10 @@ mod tests {
         let c = MotifConfig::ai_default()
             .with_batch_size(32)
             .with_geometry(299, 299, 3)
-            .with_num_tasks(4)
-            .with_chunk_bytes(1 << 20);
+            .with_num_tasks(4);
         assert_eq!(c.batch_size, 32);
         assert_eq!(c.height, 299);
         assert_eq!(c.num_tasks, 4);
-        assert_eq!(c.chunk_bytes, 1 << 20);
         assert_eq!(c.spatial_elements(), 299 * 299 * 3);
     }
 }

@@ -30,6 +30,10 @@
 //! dispatch through the registry instead of per-kind `match` blocks, and
 //! workload models declare fork/join structure with a
 //! [`topology::DagPlan`].
+//!
+//! Kernels never spawn threads: campaign cells are the only unit of
+//! concurrency, and [`workers::hardware_parallelism`] is all this crate
+//! offers a caller that sizes them.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -49,4 +53,3 @@ pub use config::MotifConfig;
 pub use kernel::{GranuleCtx, MotifKernel, MotifRegistry};
 pub use profile::{KernelProfile, KernelProfiler};
 pub use topology::{DagPlan, PlanEdge};
-pub use workers::WorkerPool;

@@ -25,7 +25,7 @@
 //!                                         # studies)
 //!
 //! [executor]                      # optional: campaign execution policy
-//! workers = 8                     # worker-pool width for cell batching
+//! workers = 8                     # cells run at once
 //!
 //! [population]                    # optional: sweep a seeded population of
 //! size = 128                      # synthesized workloads alongside (or
@@ -118,7 +118,7 @@ pub struct Scenario {
     /// When set, every proxy is tuned on this cluster (slug) instead of
     /// the cell's own cluster.
     pub tuning_cluster: Option<String>,
-    /// Worker-pool width for batching cells (None = the runner default).
+    /// Cells run at once (None = the runner default).
     pub workers: Option<usize>,
     /// Keep-only filters (a cell must match at least one, if any exist).
     pub include: Vec<CellFilter>,

@@ -27,9 +27,9 @@
 //!    every already-computed cell, byte-identically.
 //! 4. **A batch campaign runner** ([`runner`]) — the one path a proxy is
 //!    tuned and executed by.  Cells are the only unit of concurrency:
-//!    a wide campaign batches them onto one persistent
-//!    [`WorkerPool`](dmpb_motifs::workers::WorkerPool) and runs each
-//!    proxy DAG serially inside its cell, and one
+//!    a campaign runs up to its width of cells at once under one
+//!    [`std::thread::scope`], whose threads end with the campaign, and
+//!    runs each proxy DAG serially inside its cell, and one
 //!    [`TuningCache`](dmpb_core::TuningCache) keyed on the tuning
 //!    cluster means a runner tunes each (workload, tuning-cluster)
 //!    pair once no matter how many cells — or campaigns — sweep it.

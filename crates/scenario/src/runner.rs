@@ -1,6 +1,6 @@
 //! The batch campaign runner: expands a scenario and executes its cells
-//! on a persistent worker pool, short-circuiting through the
-//! content-addressed [`ResultStore`].
+//! concurrently, short-circuiting through the content-addressed
+//! [`ResultStore`].
 //!
 //! This is the one path a proxy is tuned and executed by.  A cell that
 //! misses the store is tuned through the runner's single
@@ -8,9 +8,10 @@
 //! suite slice share eight tunes, a second seed or element-count axis
 //! value re-tunes nothing, and a later campaign reuses an earlier one's
 //! tunes — and its DAG runs on the runner's one serial [`DagExecutor`].
-//! Cells are the unit of parallelism: a wide
-//! campaign fans them out over one lazily built [`WorkerPool`], and a
-//! width-1 campaign runs them inline and builds no pool at all.
+//! Cells are the unit of parallelism: a width-`n` campaign runs `n`
+//! copies of one cell loop under a single [`std::thread::scope`] — `n - 1`
+//! spawned threads plus the caller — so its threads live exactly as long
+//! as the campaign, and a width-1 campaign spawns none.
 //!
 //! Determinism: cells are executed with their pre-derived seeds and
 //! collected into their matrix positions, so the produced
@@ -29,7 +30,6 @@ use dmpb_core::fnv::hash_bytes;
 use dmpb_core::runner::{ProxyRun, TuningKey};
 use dmpb_core::{DagExecutor, ProxyGenerator, TuningCache};
 use dmpb_metrics::table::{fmt_percent, fmt_speedup, TextTable};
-use dmpb_motifs::workers::WorkerPool;
 use dmpb_motifs::{KernelProfile, KernelProfiler};
 use dmpb_population::PopulationGenerator;
 use dmpb_workloads::{workload_by_kind, Workload};
@@ -39,8 +39,8 @@ use crate::matrix::{CampaignCell, PopulationPlan};
 use crate::store::{CellResult, ResultStore, StoreStats};
 use crate::CODE_MODEL_VERSION;
 
-/// Default worker-pool width for cell batching when neither the scenario
-/// nor the caller picks one.
+/// Default number of cells run at once when neither the scenario nor the
+/// caller picks one.
 pub const DEFAULT_WORKERS: usize = 8;
 
 /// One executed (or store-served) cell of a campaign.
@@ -241,7 +241,6 @@ pub struct CampaignRunner {
     workers: usize,
     profile_kernels: bool,
     store: Arc<ResultStore>,
-    pool: OnceLock<Arc<WorkerPool>>,
     tunes: TuningCache,
     executor: DagExecutor,
     observer: Option<CellObserver>,
@@ -277,7 +276,6 @@ impl CampaignRunner {
             workers: DEFAULT_WORKERS,
             profile_kernels: false,
             store: Arc::new(store),
-            pool: OnceLock::new(),
             tunes: TuningCache::new(),
             executor: DagExecutor::new(),
             observer: None,
@@ -311,10 +309,7 @@ impl CampaignRunner {
     }
 
     /// Bounds the number of concurrently executed cells (≥ 1).  A
-    /// scenario's `[executor] workers` takes precedence for its own run,
-    /// and the persistent pool is sized for whichever is wider on first
-    /// use — but the pool is created exactly once, so a *later* run's
-    /// wider request is capped at the existing pool's width.
+    /// scenario's `[executor] workers` takes precedence for its own run.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -330,21 +325,11 @@ impl CampaignRunner {
         self.store.stats()
     }
 
-    /// The campaign's shared worker pool, created exactly once, sized
-    /// for at least `width` concurrent tasks (the calling thread
-    /// participates, so `width - 1` pool threads suffice).  Once built,
-    /// the width is fixed — later, wider requests are capped by the
-    /// caller via [`WorkerPool::workers`].
-    fn pool(&self, width: usize) -> &Arc<WorkerPool> {
-        self.pool
-            .get_or_init(|| Arc::new(WorkerPool::new(width.max(self.workers).saturating_sub(1))))
-    }
-
     /// Executes one cell: store lookup first, then tune + execute +
     /// measure and store the result.  A panicking cell becomes an error
-    /// naming the cell instead of unwinding through the pool into every
-    /// sibling; the tuning cache and the store recover from a mid-cell
-    /// panic by construction (both insert whole entries).
+    /// naming the cell instead of unwinding through the campaign's scope
+    /// into every sibling; the tuning cache and the store recover from a
+    /// mid-cell panic by construction (both insert whole entries).
     fn run_cell(&self, cell: &CampaignCell, executor: &DagExecutor) -> Result<CellOutcome, String> {
         let start = Instant::now();
         let fingerprint = cell.fingerprint(self.version);
@@ -406,10 +391,10 @@ impl CampaignRunner {
         ))
     }
 
-    /// Runs a whole campaign: expands the scenario and batches the cells
-    /// onto the worker pool.  The report lists cells in matrix order and
-    /// is identical run to run regardless of worker count and of which
-    /// cells the store served.
+    /// Runs a whole campaign: expands the scenario and runs its cells, up
+    /// to the campaign's width at once.  The report lists cells in matrix
+    /// order and is identical run to run regardless of worker count and
+    /// of which cells the store served.
     ///
     /// A failing cell fails the whole campaign (the other cells still
     /// complete — their results stay in the store, so a re-run after a
@@ -420,48 +405,38 @@ impl CampaignRunner {
             KernelProfiler::global().set_enabled(true);
         }
         let cells = scenario.expand();
-        let requested = scenario
+        let width = scenario
             .workers
             .unwrap_or(self.workers)
             .clamp(1, cells.len().max(1));
-        let executor = &self.executor;
 
         let slots: Vec<OnceLock<Result<CellOutcome, String>>> =
             cells.iter().map(|_| OnceLock::new()).collect();
-        if requested <= 1 {
-            for (slot, cell) in slots.iter().zip(&cells) {
-                assert!(
-                    slot.set(self.run_cell(cell, executor)).is_ok(),
-                    "campaign slot filled twice"
-                );
-            }
-        } else {
-            // Size the pool for this run's request on first use; once it
-            // exists, its width (plus the participating caller) caps the
-            // effective concurrency of later, wider requests.
-            let pool = self.pool(requested);
-            let workers = requested.min(pool.workers() + 1);
-            let cursor = AtomicUsize::new(0);
-            pool.scope(|scope| {
-                for _ in 0..workers {
-                    let slots = &slots;
-                    let cells = &cells;
-                    let cursor = &cursor;
-                    scope.spawn(move || loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= cells.len() {
-                            break;
-                        }
-                        assert!(
-                            slots[index]
-                                .set(self.run_cell(&cells[index], executor))
-                                .is_ok(),
-                            "campaign slot filled twice"
-                        );
-                    });
+        let cursor = AtomicUsize::new(0);
+        let cell_loop = || loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(cell) = cells.get(index) else { break };
+            assert!(
+                slots[index]
+                    .set(self.run_cell(cell, &self.executor))
+                    .is_ok(),
+                "campaign slot filled twice"
+            );
+        };
+        std::thread::scope(|scope| {
+            // `width - 1` spawned loops plus the caller's.  A failed spawn
+            // only narrows the campaign: the caller's loop still drains
+            // the cursor.
+            for k in 1..width {
+                let spawned = std::thread::Builder::new()
+                    .name(format!("dmpb-cell-{k}"))
+                    .spawn_scoped(scope, cell_loop);
+                if spawned.is_err() {
+                    break;
                 }
-            });
-        }
+            }
+            cell_loop();
+        });
 
         // Amortized persistence: one flush (and, for sharded stores, one
         // sidecar rebuild) per campaign instead of one per record.  A

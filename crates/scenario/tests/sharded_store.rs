@@ -1,5 +1,5 @@
-//! Gates for the sharded result store: concurrency under 8 pool
-//! workers, sidecar-vs-scan open equivalence, per-segment torn-tail
+//! Gates for the sharded result store: concurrency under 8 writer
+//! threads, sidecar-vs-scan open equivalence, per-segment torn-tail
 //! isolation, deterministic shard routing, campaign byte-identity
 //! across fresh, reopened and migrated stores, and the cross-shard
 //! compaction round trip.
@@ -9,7 +9,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dmpb_core::runner::ProxyRun;
 use dmpb_core::{DagExecutor, ProxyGenerator};
-use dmpb_motifs::workers::WorkerPool;
 use dmpb_scenario::{
     compact_sharded_store, read_records, read_store_records, segment_path, shard_for,
     CampaignRunner, CellResult, ResultStore, Scenario, DEFAULT_STORE_SHARDS, SIDECAR_FILE,
@@ -62,7 +61,7 @@ fn eight_pool_workers_hammer_one_sharded_store() {
     let store = ResultStore::open_sharded(&store_dir, DEFAULT_STORE_SHARDS).unwrap();
     let template = template_result();
 
-    // 8 pool workers x 64 operations over 48 distinct fingerprints:
+    // 8 scoped threads x 64 operations over 48 distinct fingerprints:
     // plenty of insert/insert and insert/lookup collisions, spread over
     // every shard.
     const WORKERS: usize = 8;
@@ -70,10 +69,9 @@ fn eight_pool_workers_hammer_one_sharded_store() {
     const DISTINCT: u64 = 48;
     const BASE: u64 = 0x2000;
 
-    let pool = WorkerPool::new(WORKERS);
     let hits = AtomicU64::new(0);
     let misses = AtomicU64::new(0);
-    pool.scope(|scope| {
+    std::thread::scope(|scope| {
         for worker in 0..WORKERS as u64 {
             let store = &store;
             let template = &template;

@@ -3,9 +3,9 @@
 //! The campaign engine (PR 5) made sweeps declarative and cached; this
 //! crate keeps the cache *warm across invocations* by putting one
 //! [`CampaignRunner`](dmpb_scenario::CampaignRunner) — and therefore one
-//! shared [`ResultStore`](dmpb_scenario::ResultStore) and one persistent
-//! cell [`WorkerPool`](dmpb_motifs::workers::WorkerPool) — behind a small
-//! HTTP/1.1 daemon:
+//! shared [`ResultStore`](dmpb_scenario::ResultStore) and one tuning
+//! cache — behind a small HTTP/1.1 daemon.  Each campaign runs at most
+//! `--workers` cells at once, on threads that end with the campaign:
 //!
 //! * `POST /campaigns` — submit a scenario-DSL file; answers `202` with
 //!   a campaign id, `400` on parse errors, `429` when the fixed-depth
@@ -19,7 +19,7 @@
 //! * `GET /healthz` — liveness probe.
 //! * `GET /metrics` — Prometheus-style text: store hit/miss counters and
 //!   hit ratio, admission-queue depth, campaign lifecycle counters,
-//!   pool width and utilization, and a per-cell latency histogram
+//!   cell width and utilization, and a per-cell latency histogram
 //!   recorded through [`dmpb_metrics::LatencyHistogram`].
 //!
 //! Everything is hand-rolled over std TCP ([`http`]) — no external web

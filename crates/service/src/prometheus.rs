@@ -181,19 +181,19 @@ pub(crate) fn render_metrics(state: &ServiceState) -> String {
         &mut out,
         "dmpb_pool_workers",
         "gauge",
-        "Worker-pool width campaigns are batched onto.",
+        "The most cells a campaign runs at once.",
         state.workers,
     );
 
     // Cumulative busy time over cumulative capacity: an approximation
-    // (cells overlap on the pool), but monotone inputs make it cheap and
+    // (cells overlap), but monotone inputs make it cheap and
     // rate()-friendly.
     let capacity_ns = uptime.as_nanos().max(1) as f64 * state.workers as f64;
     metric(
         &mut out,
         "dmpb_pool_utilization_ratio",
         "gauge",
-        "Cumulative cell wall-time over cumulative pool capacity since start.",
+        "Cumulative cell wall-time over cumulative cell capacity since start.",
         format_args!("{:.6}", (latency.sum_ns as f64 / capacity_ns).min(1.0)),
     );
     metric(

@@ -2,14 +2,14 @@
 //! and the HTTP front end.
 //!
 //! One [`CampaignRunner`] — and therefore one warm
-//! [`ResultStore`](dmpb_scenario::ResultStore) and one persistent
-//! [`WorkerPool`](dmpb_motifs::workers::WorkerPool), built on the first
-//! campaign wider than one cell — serves every client for the daemon's
-//! lifetime.  Submissions land in a fixed-depth
-//! queue (`429` once it is full: bounded admission, not unbounded memory
-//! growth) and a single dispatcher thread drains it, so campaigns run
-//! one at a time at full pool width while results stream out of the
-//! store to any number of concurrent readers.
+//! [`ResultStore`](dmpb_scenario::ResultStore) and one tuning cache —
+//! serves every client for the daemon's lifetime.  Submissions land in a
+//! fixed-depth queue (`429` once it is full: bounded admission, not
+//! unbounded memory growth) and a single dispatcher thread drains it, so
+//! campaigns run one at a time while results stream out of the store to
+//! any number of concurrent readers.  Each campaign runs at most
+//! `--workers` cells at once, a scenario's own `[executor] workers`
+//! capped at that width, on threads that end with the campaign.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -38,7 +38,7 @@ pub struct ServiceConfig {
     /// Maximum number of campaigns waiting in the admission queue;
     /// submissions beyond it are answered `429`.
     pub queue_depth: usize,
-    /// Worker-pool width for campaign cell batching.
+    /// The most cells a campaign runs at once.
     pub workers: usize,
     /// Directory of the shared result store, created if missing (a
     /// single-file store from an older release is migrated in place);
@@ -67,7 +67,7 @@ impl Default for ServiceConfig {
 pub enum CampaignStatus {
     /// Waiting in the admission queue.
     Queued,
-    /// Currently executing on the worker pool.
+    /// Currently executing.
     Running,
     /// Finished; the JSONL report is ready to stream.
     Done {
@@ -156,6 +156,30 @@ pub(crate) struct ServiceState {
 }
 
 impl ServiceState {
+    /// The service's shared state over `store`, with no thread started.
+    fn new(config: &ServiceConfig, store: ResultStore) -> Self {
+        let latency = Arc::new(LatencyHistogram::new());
+        let recorder = Arc::clone(&latency);
+        let workers = config.workers.max(1);
+        let runner = CampaignRunner::with_store(store)
+            .with_workers(workers)
+            .with_kernel_profiling(true)
+            .with_cell_observer(Arc::new(move |_outcome, wall| recorder.record(wall)));
+        Self {
+            runner,
+            latency,
+            counters: ServiceCounters::default(),
+            queue_depth: config.queue_depth,
+            workers,
+            started: Instant::now(),
+            queue: Mutex::new(VecDeque::new()),
+            wake: Condvar::new(),
+            campaigns: Mutex::new(HashMap::new()),
+            submissions: Mutex::new(Vec::new()),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
     pub(crate) fn queue_len(&self) -> usize {
         self.queue
             .lock()
@@ -233,36 +257,17 @@ pub fn serve(config: ServiceConfig) -> Result<ServiceHandle, String> {
         }
         None => ResultStore::in_memory(),
     };
-    dmpb_motifs::KernelProfiler::global().set_enabled(true);
-    let latency = Arc::new(LatencyHistogram::new());
-    let recorder = Arc::clone(&latency);
     // A daemon exists to be observed: kernel profiling is always on, so
     // `/metrics` can expose per-kind execution counters.  Profiling never
     // changes results (reports and digests are profile-independent).
-    let runner = CampaignRunner::with_store(store)
-        .with_workers(config.workers.max(1))
-        .with_kernel_profiling(true)
-        .with_cell_observer(Arc::new(move |_outcome, wall| recorder.record(wall)));
+    dmpb_motifs::KernelProfiler::global().set_enabled(true);
+    let state = Arc::new(ServiceState::new(&config, store));
 
     let listener =
         TcpListener::bind(&config.addr).map_err(|e| format!("bind {}: {e}", config.addr))?;
     let addr = listener
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
-
-    let state = Arc::new(ServiceState {
-        runner,
-        latency,
-        counters: ServiceCounters::default(),
-        queue_depth: config.queue_depth,
-        workers: config.workers.max(1),
-        started: Instant::now(),
-        queue: Mutex::new(VecDeque::new()),
-        wake: Condvar::new(),
-        campaigns: Mutex::new(HashMap::new()),
-        submissions: Mutex::new(Vec::new()),
-        shutdown: AtomicBool::new(false),
-    });
 
     let accept_state = Arc::clone(&state);
     let accept = std::thread::Builder::new()
@@ -418,10 +423,17 @@ fn submit_campaign(request: &Request, state: &ServiceState) -> Response {
         Ok(source) => source,
         Err(e) => return Response::text(400, format!("body is not UTF-8: {e}\n")),
     };
-    let scenario = match Scenario::parse(source) {
+    let mut scenario = match Scenario::parse(source) {
         Ok(scenario) => scenario,
         Err(e) => return Response::text(400, format!("scenario: {e}\n")),
     };
+    // A client picks at most the daemon's width: `--workers` bounds the
+    // threads any campaign spawns, whatever the body asks for.
+    scenario.workers = Some(
+        scenario
+            .workers
+            .map_or(state.workers, |w| w.min(state.workers)),
+    );
     let cells = scenario.expand().len();
 
     // Bounded admission: the queue has a fixed depth, and a full queue
@@ -501,5 +513,52 @@ fn campaign_status(id: &str, state: &ServiceState) -> Response {
         CampaignStatus::Queued | CampaignStatus::Running => {
             Response::json(202, status_line(id, entry))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A POSTed scenario cannot ask for more cells at once than the
+    /// daemon's `--workers`: the queued campaign carries the capped width.
+    #[test]
+    fn a_submitted_campaign_is_capped_at_the_daemon_width() {
+        let config = ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        };
+        let state = ServiceState::new(&config, ResultStore::in_memory());
+        let source = r#"
+[scenario]
+name = "wide-request"
+
+[axes]
+workloads = ["TeraSort", "KMeans"]
+clusters = ["five-node-westmere"]
+elements = [64]
+seeds = [7]
+
+[executor]
+workers = 64
+"#;
+        let request = Request {
+            method: "POST".to_string(),
+            path: "/campaigns".to_string(),
+            headers: Vec::new(),
+            body: source.as_bytes().to_vec(),
+        };
+        let response = submit_campaign(&request, &state);
+        assert_eq!(
+            response.status,
+            202,
+            "{}",
+            String::from_utf8_lossy(&response.body)
+        );
+        let campaigns = state.lock_campaigns();
+        let entry = campaigns.values().next().expect("one queued campaign");
+        assert!(matches!(entry.status, CampaignStatus::Queued));
+        assert!(entry.cells <= 2, "{} cells", entry.cells);
+        assert_eq!(entry.scenario.workers, Some(1));
     }
 }

@@ -110,7 +110,7 @@ fn store_served_cells_are_byte_identical_across_1_and_8_workers() {
     assert_eq!(cold_serial.to_lines(), cold_parallel.to_lines());
     assert_eq!(cold_serial.digest(), cold_parallel.digest());
 
-    // Warm run from the persisted bytes, wide worker pool.
+    // Warm run from the persisted bytes, 8 cells at once.
     let warm_runner = CampaignRunner::with_store(ResultStore::open(&path).unwrap());
     let warm = warm_runner.with_workers(8).run(&scenario);
     assert_eq!(warm.cache_hits(), warm.outcomes.len());

@@ -159,7 +159,7 @@ fn eight_entry_suite_digest_is_stable_across_runs_and_worker_counts() {
     let cells: Vec<_> = campaign().cells().collect();
     let kinds: Vec<WorkloadKind> = cells.iter().map(|c| c.workload).collect();
     assert_eq!(kinds, WorkloadKind::ALL.to_vec());
-    // The campaign tunes its cells concurrently on its worker pool; the
+    // The campaign tunes its cells concurrently on scoped threads; the
     // suite tunes them one after another.  Every tune must agree bit for
     // bit: tuning does not depend on scheduling.
     for (cell, report) in cells.iter().zip(suite().reports()) {

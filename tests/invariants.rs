@@ -13,7 +13,7 @@ use data_motif_proxy::datagen::text::TextGenerator;
 use data_motif_proxy::datagen::{DataClass, DataDescriptor, Distribution};
 use data_motif_proxy::metrics::accuracy;
 use data_motif_proxy::motifs::bigdata::{set_ops, sort, transform};
-use data_motif_proxy::motifs::{MotifKind, WorkerPool};
+use data_motif_proxy::motifs::MotifKind;
 use data_motif_proxy::perfmodel::cache::{Cache, CacheConfig};
 use data_motif_proxy::workloads::framework::spark::AppShape;
 use data_motif_proxy::workloads::spark::{SparkKMeans, SparkPageRank, SparkTeraSort};
@@ -135,7 +135,7 @@ proptest! {
 
     /// Digest invariance holds for arbitrary seeds and element budgets,
     /// not just the pinned ones, while `workers` concurrent cells share
-    /// one executor on a worker pool.
+    /// one executor, each on its own scoped thread.
     #[test]
     fn dag_executor_digest_is_seedwise_parallelism_invariant(
         seed in 0u64..1_000,
@@ -153,7 +153,7 @@ proptest! {
         prop_assert!(proxy.plan().is_branching());
         let shared = DagExecutor::new();
         let runs: Vec<_> = (0..workers as u64).map(|_| std::sync::OnceLock::new()).collect();
-        WorkerPool::new(workers - 1).scope(|s| {
+        std::thread::scope(|s| {
             for (cell, slot) in runs.iter().enumerate() {
                 let (proxy, shared) = (&proxy, &shared);
                 s.spawn(move || {
