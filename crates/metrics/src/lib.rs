@@ -29,7 +29,6 @@ pub mod accuracy;
 pub mod histogram;
 pub mod instruction_mix;
 pub mod json;
-pub mod stats;
 pub mod table;
 pub mod vector;
 

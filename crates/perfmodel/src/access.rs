@@ -8,6 +8,12 @@
 //! descriptor to drive the cache hierarchy.  The hit ratios measured on the
 //! sample stand in for the full run — the same idea as sampled simulation,
 //! applied to a synthetic stream whose locality matches the kernel.
+//!
+//! A stream is drawn in line-granular runs ([`AddressStream::next_run`]):
+//! each call returns an address and how many of the following accesses
+//! fall in its cache line, computed from the pattern rather than by
+//! walking them, so the engine sends one access per run through the
+//! hierarchy.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -58,11 +64,28 @@ impl AccessPattern {
 const FIELDS_PER_OBJECT: u32 = 3;
 
 /// A deterministic generator of sample addresses for one memory segment.
+///
+/// [`AddressStream::next_run`] hands the stream out in line-granular runs:
+/// an address plus the number of the following accesses that fall in its
+/// cache line.  The count is arithmetic, not a walk:
+///
+/// * sequential and strided runs end at the line's end or at the wrap to
+///   the start of the working set, whichever comes first;
+/// * a random or pointer-chasing run is the rest of the current object's
+///   fields.  An object is 64-byte aligned within the working set, with
+///   fields at +0, +8 and +16 clamped to its last byte, so the fields share
+///   a line whenever the line holds them all (32-byte lines and up at an
+///   aligned base); otherwise each field is a run of its own.
+///
+/// The sequential and strided cursor is kept reduced modulo the working
+/// set, so `%` runs only when an access passes the end.
 #[derive(Debug)]
 pub struct AddressStream {
     pattern: AccessPattern,
     base: u64,
     working_set_bytes: u64,
+    /// Offset of the next sequential or strided access, below
+    /// `working_set_bytes`.
     cursor: u64,
     current_object: u64,
     remaining_fields: u32,
@@ -93,8 +116,72 @@ impl AddressStream {
         self.pattern
     }
 
+    /// Produces the next sample address and how many accesses, counting
+    /// it and at most `max` in all, fall in its `line_bytes`-byte line in
+    /// a row.  The stream advances past all of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max` is zero or `line_bytes` is not a power of two.
+    pub fn next_run(&mut self, max: usize, line_bytes: u64) -> (u64, usize) {
+        assert!(max > 0, "a run holds at least one access");
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
+        let step = match self.pattern {
+            AccessPattern::Sequential => 8,
+            AccessPattern::Strided { stride_bytes } => stride_bytes.max(1),
+            AccessPattern::Random | AccessPattern::PointerChase => {
+                return self.next_field_run(max, line_bytes)
+            }
+        };
+        let address = self.base + self.cursor;
+        let line_left = line_bytes - (address & (line_bytes - 1));
+        let span = line_left.min(self.working_set_bytes - self.cursor);
+        let run = span.div_ceil(step).min(max as u64);
+        self.cursor += run * step;
+        if self.cursor >= self.working_set_bytes {
+            self.cursor %= self.working_set_bytes;
+        }
+        (address, run as usize)
+    }
+
+    /// [`AddressStream::next_run`] for the random patterns: the current
+    /// object's remaining fields, landing on a new object first if none
+    /// remain.
+    fn next_field_run(&mut self, max: usize, line_bytes: u64) -> (u64, usize) {
+        if self.remaining_fields == 0 {
+            // Land on a new object (cache-line granular) and read a few of
+            // its fields before moving on.
+            self.current_object = self.rng.gen_range(0..self.working_set_bytes) & !63;
+            self.remaining_fields = FIELDS_PER_OBJECT;
+        }
+        // The address of the field read when `left` fields remain.
+        let field = |left: u32| {
+            let offset = self.current_object + u64::from(FIELDS_PER_OBJECT - left) * 8;
+            self.base + offset.min(self.working_set_bytes - 1)
+        };
+        let first = field(self.remaining_fields);
+        let mut run = self
+            .remaining_fields
+            .min(max.min(FIELDS_PER_OBJECT as usize) as u32);
+        // Field addresses never decrease, so the run shares the first
+        // field's line exactly when its last field does.
+        if field(self.remaining_fields + 1 - run) / line_bytes != first / line_bytes {
+            run = 1;
+        }
+        self.remaining_fields -= run;
+        (first, run as usize)
+    }
+}
+
+/// The stream one access at a time, as the engine drew it before runs:
+/// the reference [`AddressStream::next_run`] is tested against.
+#[cfg(test)]
+impl AddressStream {
     /// Produces the next sample address.
-    pub fn next_address(&mut self) -> u64 {
+    pub(crate) fn next_address(&mut self) -> u64 {
         let offset = match self.pattern {
             AccessPattern::Sequential => {
                 let o = self.cursor % self.working_set_bytes;
@@ -108,8 +195,6 @@ impl AddressStream {
             }
             AccessPattern::Random | AccessPattern::PointerChase => {
                 if self.remaining_fields == 0 {
-                    // Land on a new object (cache-line granular) and read a
-                    // few of its fields before moving on.
                     self.current_object = self.rng.gen_range(0..self.working_set_bytes) & !63;
                     self.remaining_fields = FIELDS_PER_OBJECT;
                 }
@@ -122,7 +207,7 @@ impl AddressStream {
     }
 
     /// Collects `n` sample addresses.
-    pub fn take(&mut self, n: usize) -> Vec<u64> {
+    pub(crate) fn take(&mut self, n: usize) -> Vec<u64> {
         (0..n).map(|_| self.next_address()).collect()
     }
 }
@@ -130,6 +215,7 @@ impl AddressStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sequential_addresses_increase_then_wrap() {
@@ -181,6 +267,65 @@ mod tests {
         assert!(!AccessPattern::PointerChase.allows_mlp());
         assert!(AccessPattern::Sequential.allows_mlp());
         assert!(AccessPattern::Random.allows_mlp());
+    }
+
+    #[test]
+    fn runs_end_at_the_line_end_and_at_the_wrap() {
+        let mut s = AddressStream::new(AccessPattern::Sequential, 0x1000, 100, 1);
+        assert_eq!(s.next_run(100, 64), (0x1000, 8));
+        assert_eq!(s.next_run(3, 64), (0x1040, 3));
+        // 0x1058..0x1060 is left before the wrap at 100 bytes.
+        assert_eq!(s.next_run(100, 64), (0x1058, 2));
+        assert_eq!(s.next_run(100, 64), (0x1004, 8));
+
+        let mut s = AddressStream::new(AccessPattern::Random, 0, 1 << 20, 3);
+        assert_eq!(s.next_run(100, 64).1, 3, "all three fields share a line");
+        let mut s = AddressStream::new(AccessPattern::Random, 0, 1 << 20, 3);
+        assert_eq!(s.next_run(100, 16).1, 1, "+16 is in the next 16-byte line");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Flattening `next_run` over runs of random length gives exactly
+        /// the one-at-a-time stream, and every access of a run is in the
+        /// line of its first address: all four patterns, working sets from
+        /// 1 byte to several lines, strides from 0 to beyond a line, 16- to
+        /// 128-byte lines, line-aligned and unaligned bases.
+        #[test]
+        fn runs_flatten_to_the_reference_stream(
+            pattern in 0u32..4,
+            working_set in 1u64..700,
+            stride in 0u64..300,
+            line_log in 4u32..8,
+            base in 0usize..3,
+            longest in 1usize..12,
+            seed in 0u64..u64::MAX,
+        ) {
+            let pattern = match pattern {
+                0 => AccessPattern::Sequential,
+                1 => AccessPattern::Strided { stride_bytes: stride },
+                2 => AccessPattern::Random,
+                _ => AccessPattern::PointerChase,
+            };
+            let line = 1u64 << line_log;
+            let base = [0, 0x1_0000_0000 + (5 << 34), 0x1234][base];
+            let mut runs = AddressStream::new(pattern, base, working_set, seed);
+            let mut reference = AddressStream::new(pattern, base, working_set, seed);
+            let mut lengths = StdRng::seed_from_u64(seed ^ 0x5EED);
+            let mut accesses = 0;
+            while accesses < 1500 {
+                let max = lengths.gen_range(1..longest + 1);
+                let (first, run) = runs.next_run(max, line);
+                prop_assert!((1..=max).contains(&run), "run {} of at most {}", run, max);
+                prop_assert_eq!(first, reference.next_address(), "access {}", accesses);
+                for i in 1..run {
+                    let address = reference.next_address();
+                    prop_assert_eq!(address / line, first / line, "access {}", accesses + i);
+                }
+                accesses += run;
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,10 @@
 //! stacks them into the L1I / L1D / L2 / L3 configuration of the modelled
 //! processors.  The simulator is functional (tags only, no data) and
 //! deterministic.
+//!
+//! After any access its line sits at way 0 of its set, where a hit changes
+//! nothing, so a run of accesses to one line is one access followed by
+//! hits that only count: [`Cache::access_repeated`].
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,6 +188,21 @@ impl Cache {
         set.copy_within(..self.ways - 1, 1);
         set[0] = tag;
         AccessOutcome::Miss
+    }
+
+    /// Accesses `address` `times` times in a row and returns the first
+    /// access's outcome.  The first access leaves its line at way 0 of its
+    /// set, where each later access is a hit that changes nothing, so the
+    /// later ones only count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `times` is zero, or as [`Cache::access`] does.
+    pub fn access_repeated(&mut self, address: u64, times: u64) -> AccessOutcome {
+        assert!(times > 0, "at least one access");
+        let outcome = self.access(address);
+        self.stats.hits += times - 1;
+        outcome
     }
 
     /// Number of resident lines (for tests and invariant checks).
@@ -448,6 +467,14 @@ mod tests {
                 prop_assert_eq!(cache.resident_lines(), oracle.resident_lines());
             }
         }
+    }
+
+    #[test]
+    fn repeated_accesses_count_as_hits() {
+        let mut c = small_cache();
+        assert_eq!(c.access_repeated(0x1000, 4), AccessOutcome::Miss);
+        assert_eq!(c.access_repeated(0x1008, 1), AccessOutcome::Hit);
+        assert_eq!(c.stats(), CacheStats { hits: 4, misses: 1 });
     }
 
     #[test]

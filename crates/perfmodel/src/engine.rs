@@ -24,6 +24,24 @@
 //!
 //! The split is what lets [`crate::memo::SimMemo`] reuse a simulation for
 //! every later profile with the same key.
+//!
+//! A hierarchy simulation skips work whose outcome is already known, and
+//! keeps every output bit:
+//!
+//! * **The L1I runs apart.**  Its state depends on nothing but the fetch
+//!   stream, and under one engine the fetch stream depends only on the
+//!   code footprint (its seed is a constant).  A `FetchTrace` records what
+//!   a lone L1I does with one footprint: the addresses that miss it in the
+//!   warm-up pass and in the measured pass, and its measured statistics.
+//!   The simulation replays the misses into L2 and L3 in the order one
+//!   shared hierarchy would see them: warm-up fetch misses, warm-up data
+//!   accesses, a statistics reset, measured fetch misses, measured data
+//!   accesses.  [`ExecutionEngine::simulate`] builds its trace inline; the
+//!   memo keeps one per footprint.
+//! * **Data accesses go in line-granular runs.**  Each stream hands out an
+//!   address plus the number of following accesses in its line (see
+//!   [`crate::access`]); the first goes through the hierarchy, and the
+//!   rest are L1D hits on the line it left at the front of its set.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -34,6 +52,7 @@ use dmpb_metrics::MetricVector;
 use crate::access::{AccessPattern, AddressStream};
 use crate::arch::ArchProfile;
 use crate::branch::GsharePredictor;
+use crate::cache::{AccessOutcome, Cache, CacheStats};
 use crate::hierarchy::{CacheHierarchy, ServedBy};
 use crate::pipeline::{self, CacheBehavior};
 use crate::profile::OpProfile;
@@ -160,8 +179,23 @@ struct SegmentInputs {
 /// one engine, equal inputs give bit-identical [`HierarchyOutcome`]s.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct HierarchyInputs {
-    code_footprint_bytes: u64,
+    pub(crate) code_footprint_bytes: u64,
     segments: Vec<SegmentInputs>,
+}
+
+/// What the instruction-fetch stream of one code footprint does to the
+/// L1I: the addresses that miss it in the warm-up and in the measured
+/// pass, in order, and its measured statistics.
+///
+/// No other cache level's state reaches the L1I, and under one engine the
+/// fetch stream depends only on the code footprint, so a trace stands in
+/// for the L1I of every hierarchy simulation with that footprint.
+#[derive(Debug, Clone)]
+pub(crate) struct FetchTrace {
+    code_footprint_bytes: u64,
+    warm_misses: Vec<u64>,
+    measured_misses: Vec<u64>,
+    measured: CacheStats,
 }
 
 /// Exactly the profile inputs the branch simulation reads: the bits of
@@ -211,8 +245,10 @@ impl ExecutionEngine {
 
     /// Runs the cache-hierarchy and branch simulations of `profile`.
     pub fn simulate(&self, profile: &OpProfile) -> SimOutcome {
+        let inputs = self.hierarchy_inputs(profile);
+        let fetches = self.fetch_trace(inputs.code_footprint_bytes);
         SimOutcome {
-            hierarchy: self.simulate_hierarchy(&self.hierarchy_inputs(profile)),
+            hierarchy: self.simulate_hierarchy(&inputs, &fetches),
             branch_miss_ratio: self
                 .branch_inputs(profile)
                 .map_or(0.0, |inputs| self.simulate_branches(inputs)),
@@ -338,37 +374,75 @@ impl ExecutionEngine {
         })
     }
 
+    /// Runs the instruction-fetch stream of a `code_footprint_bytes` code
+    /// footprint through a lone L1I, a warm-up pass and then a measured
+    /// pass, and records what reaches L2.
+    pub(crate) fn fetch_trace(&self, code_footprint_bytes: u64) -> FetchTrace {
+        let mut l1i = Cache::new(self.arch.l1i);
+        let mut state = FetchState::default();
+        let mut pass = |l1i: &mut Cache| {
+            let mut misses = Vec::new();
+            self.walk_instruction_fetches(code_footprint_bytes, &mut state, |address| {
+                if l1i.access(address) == AccessOutcome::Miss {
+                    misses.push(address);
+                }
+            });
+            misses
+        };
+        let warm_misses = pass(&mut l1i);
+        l1i.reset_stats();
+        let measured_misses = pass(&mut l1i);
+        FetchTrace {
+            code_footprint_bytes,
+            warm_misses,
+            measured_misses,
+            measured: l1i.stats(),
+        }
+    }
+
     /// Simulates the instruction-fetch and data-access streams described
-    /// by `inputs` through a fresh cache hierarchy of the architecture.
+    /// by `inputs` through a fresh cache hierarchy of the architecture,
+    /// with `fetches` the fetch trace of `inputs`' code footprint.
     ///
     /// Both streams run a warm-up pass first and are measured in steady
     /// state: the sampled streams are far shorter than the real
     /// instruction stream, so cold-start misses would otherwise dominate
     /// working sets that are in fact cache resident for most of the run.
-    pub(crate) fn simulate_hierarchy(&self, inputs: &HierarchyInputs) -> HierarchyOutcome {
+    /// The L2 and L3 see the warm-up L1I misses, the warm-up data
+    /// accesses, a statistics reset, the measured L1I misses and the
+    /// measured data accesses, in that order: the order in which fetches
+    /// and data accesses through one hierarchy would reach them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fetches` was traced for another code footprint.
+    pub(crate) fn simulate_hierarchy(
+        &self,
+        inputs: &HierarchyInputs,
+        fetches: &FetchTrace,
+    ) -> HierarchyOutcome {
+        assert_eq!(
+            fetches.code_footprint_bytes, inputs.code_footprint_bytes,
+            "fetch trace of another code footprint"
+        );
         let mut hierarchy = CacheHierarchy::for_arch(&self.arch);
-        let mut fetch_state = FetchState::default();
         let mut data_streams = self.build_data_streams(&inputs.segments);
 
         // --- Warm-up pass -----------------------------------------------
-        self.simulate_instruction_fetches(
-            inputs.code_footprint_bytes,
-            &mut hierarchy,
-            &mut fetch_state,
-        );
-        Self::simulate_data_accesses(&mut data_streams, &mut hierarchy);
+        for &address in &fetches.warm_misses {
+            hierarchy.forward_l1_miss(address);
+        }
+        self.simulate_data_accesses(&mut data_streams, &mut hierarchy);
         hierarchy.reset_stats();
 
         // --- Measured pass -----------------------------------------------
-        self.simulate_instruction_fetches(
-            inputs.code_footprint_bytes,
-            &mut hierarchy,
-            &mut fetch_state,
-        );
-        let memory_served = Self::simulate_data_accesses(&mut data_streams, &mut hierarchy);
+        for &address in &fetches.measured_misses {
+            hierarchy.forward_l1_miss(address);
+        }
+        let memory_served = self.simulate_data_accesses(&mut data_streams, &mut hierarchy);
 
         HierarchyOutcome {
-            l1i_hit: hierarchy.l1i_stats().hit_ratio(),
+            l1i_hit: fetches.measured.hit_ratio(),
             l1d_hit: hierarchy.l1d_stats().hit_ratio(),
             l2_hit: hierarchy.l2_stats().hit_ratio(),
             l3_hit: hierarchy.l3_stats().hit_ratio(),
@@ -395,17 +469,17 @@ impl ExecutionEngine {
             .collect()
     }
 
-    /// Simulates the instruction-fetch stream: mostly sequential fetches
-    /// within a hot function region, with occasional jumps to other
-    /// functions across the code footprint.  Heavy software stacks (large
-    /// footprints) therefore see lower L1I hit ratios.  The fetch state is
-    /// kept by the caller so a warm-up pass can be followed by a measured
-    /// pass.
-    fn simulate_instruction_fetches(
+    /// Walks one pass of the instruction-fetch stream, handing each
+    /// address to `fetch`: mostly sequential fetches within a hot function
+    /// region, with occasional jumps to other functions across the code
+    /// footprint.  Heavy software stacks (large footprints) therefore see
+    /// lower L1I hit ratios.  The fetch state is kept by the caller so a
+    /// warm-up pass can be followed by a measured pass.
+    fn walk_instruction_fetches(
         &self,
         code_footprint_bytes: u64,
-        hierarchy: &mut CacheHierarchy,
         state: &mut FetchState,
+        mut fetch: impl FnMut(u64),
     ) {
         let footprint = code_footprint_bytes.max(1024);
         for _ in 0..self.config.sample_instruction_fetches {
@@ -414,18 +488,21 @@ impl ExecutionEngine {
                 state.region_base = state.rng.gen_range(0..regions) * FUNCTION_REGION_BYTES;
                 state.offset = 0;
             }
-            let address = 0x4000_0000 + state.region_base + state.offset;
-            hierarchy.access_instruction(address);
+            fetch(0x4000_0000 + state.region_base + state.offset);
             state.offset = (state.offset + 4) % FUNCTION_REGION_BYTES;
         }
     }
 
     /// Advances every sampled data stream by its budget, returning the
-    /// fraction of accesses served by main memory in this pass.
+    /// fraction of accesses served by main memory in this pass.  Each
+    /// stream is drawn in line-granular runs: a run's first access goes
+    /// through the hierarchy and the rest hit the L1D line it left.
     fn simulate_data_accesses(
+        &self,
         streams: &mut [(AddressStream, usize)],
         hierarchy: &mut CacheHierarchy,
     ) -> f64 {
+        let line_bytes = self.arch.l1d.line_bytes;
         let mut served_memory = 0u64;
         let mut total = 0u64;
         // Interleave the segments' accesses finely (as the real instruction
@@ -434,11 +511,12 @@ impl ExecutionEngine {
         const SLICES: usize = 200;
         for slice in 0..SLICES {
             for (stream, n) in streams.iter_mut() {
-                let budget = *n / SLICES + usize::from(slice < *n % SLICES);
-                for _ in 0..budget {
-                    let address = stream.next_address();
-                    total += 1;
-                    if hierarchy.access_data(address) == ServedBy::Memory {
+                let mut budget = *n / SLICES + usize::from(slice < *n % SLICES);
+                total += budget as u64;
+                while budget > 0 {
+                    let (address, run) = stream.next_run(budget, line_bytes);
+                    budget -= run;
+                    if hierarchy.access_data_repeated(address, run as u64) == ServedBy::Memory {
                         served_memory += 1;
                     }
                 }
@@ -660,6 +738,128 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_is_rejected() {
         let _ = engine().run(&base_profile(), 0);
+    }
+
+    /// The hierarchy simulation as one L1I in front of the hierarchy, each
+    /// fetch and each data access on its own: warm-up fetches, warm-up
+    /// data, a statistics reset, measured fetches, measured data.
+    fn reference_hierarchy(engine: &ExecutionEngine, inputs: &HierarchyInputs) -> HierarchyOutcome {
+        let mut l1i = Cache::new(engine.arch.l1i);
+        let mut hierarchy = CacheHierarchy::for_arch(&engine.arch);
+        let mut fetch_state = FetchState::default();
+        let mut streams = engine.build_data_streams(&inputs.segments);
+        let mut memory_served = 0.0;
+        for pass in 0..2 {
+            if pass == 1 {
+                l1i.reset_stats();
+                hierarchy.reset_stats();
+            }
+            engine.walk_instruction_fetches(inputs.code_footprint_bytes, &mut fetch_state, |a| {
+                if l1i.access(a) == AccessOutcome::Miss {
+                    hierarchy.forward_l1_miss(a);
+                }
+            });
+            let (mut served, mut total) = (0u64, 0u64);
+            for slice in 0..200 {
+                for (stream, n) in &mut streams {
+                    for _ in 0..*n / 200 + usize::from(slice < *n % 200) {
+                        total += 1;
+                        served += u64::from(
+                            hierarchy.access_data(stream.next_address()) == ServedBy::Memory,
+                        );
+                    }
+                }
+            }
+            memory_served = if total == 0 {
+                0.0
+            } else {
+                served as f64 / total as f64
+            };
+        }
+        HierarchyOutcome {
+            l1i_hit: l1i.stats().hit_ratio(),
+            l1d_hit: hierarchy.l1d_stats().hit_ratio(),
+            l2_hit: hierarchy.l2_stats().hit_ratio(),
+            l3_hit: hierarchy.l3_stats().hit_ratio(),
+            memory_served,
+        }
+    }
+
+    fn outcome_bits(o: &HierarchyOutcome) -> [u64; 5] {
+        [o.l1i_hit, o.l1d_hit, o.l2_hit, o.l3_hit, o.memory_served].map(f64::to_bits)
+    }
+
+    /// Random simulator inputs: a code footprint below 1 KiB, between, or
+    /// above either L3, and up to four segments of every pattern, some of
+    /// them placed high enough that L3 lines pass 2^32.
+    fn random_inputs(rng: &mut StdRng) -> HierarchyInputs {
+        let code_footprint_bytes = match rng.gen_range(0..3) {
+            0 => rng.gen_range(0..1024),
+            1 => rng.gen_range(1024..(4 << 20)),
+            _ => rng.gen_range((16 << 20)..(64 << 20)),
+        };
+        let mut index = 0;
+        let segments = (0..rng.gen_range(0..5))
+            .map(|_| {
+                index += rng.gen_range(0..8);
+                let pattern = match rng.gen_range(0..4) {
+                    0 => AccessPattern::Sequential,
+                    1 => AccessPattern::Strided {
+                        stride_bytes: rng.gen_range(0..300),
+                    },
+                    2 => AccessPattern::Random,
+                    _ => AccessPattern::PointerChase,
+                };
+                let working_set_bytes = match rng.gen_range(0..3) {
+                    0 => rng.gen_range(1..1024),
+                    1 => rng.gen_range(1024..(1 << 20)),
+                    _ => rng.gen_range((1 << 20)..(64 << 20)),
+                };
+                let segment = SegmentInputs {
+                    index,
+                    pattern,
+                    working_set_bytes,
+                    samples: rng.gen_range(1..2_000),
+                };
+                index += 1;
+                segment
+            })
+            .collect();
+        HierarchyInputs {
+            code_footprint_bytes,
+            segments,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The fetch trace and line-granular data runs give the bits of the
+        /// one-access-at-a-time hierarchy on both architectures.
+        #[test]
+        fn hierarchy_simulation_matches_the_full_hierarchy_reference(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let arch = if rng.gen::<bool>() {
+                ArchProfile::westmere_e5645()
+            } else {
+                ArchProfile::haswell_e5_2620_v3()
+            };
+            let engine = ExecutionEngine::with_config(
+                arch,
+                EngineConfig {
+                    sample_data_accesses: 0,
+                    sample_instruction_fetches: rng.gen_range(0..4_000),
+                    sample_branches: 0,
+                    ..EngineConfig::default()
+                },
+            );
+            let inputs = random_inputs(&mut rng);
+            let fetches = engine.fetch_trace(inputs.code_footprint_bytes);
+            proptest::prop_assert_eq!(
+                outcome_bits(&engine.simulate_hierarchy(&inputs, &fetches)),
+                outcome_bits(&reference_hierarchy(&engine, &inputs))
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! The modelled cache hierarchy: per-core L1I and L1D, private L2 and a
-//! shared L3, as configured by an [`crate::arch::ArchProfile`].
+//! The modelled cache hierarchy: per-core L1D, private L2 and a shared L3,
+//! as configured by an [`crate::arch::ArchProfile`].
 //!
 //! The hierarchy is inclusive-agnostic: each level is looked up only when
 //! the previous level missed, which is exactly how the hit ratios of
 //! Table V are defined (`L2 hit ratio` = hits in L2 / accesses that reached
-//! L2).
+//! L2).  The L1I is not part of it: no other level's state reaches the
+//! L1I, so the engine simulates it on its own and forwards its misses with
+//! [`CacheHierarchy::forward_l1_miss`] (see [`crate::engine`]).
 
 use crate::arch::ArchProfile;
 use crate::cache::{AccessOutcome, Cache, CacheStats};
@@ -12,7 +14,7 @@ use crate::cache::{AccessOutcome, Cache, CacheStats};
 /// Which cache level served an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServedBy {
-    /// Hit in the first-level cache (L1I or L1D).
+    /// Hit in the L1 data cache.
     L1,
     /// Hit in the unified L2.
     L2,
@@ -22,10 +24,10 @@ pub enum ServedBy {
     Memory,
 }
 
-/// A three-level cache hierarchy with a split first level.
+/// The L1D, L2 and L3 of one core, with an entry point at L2 for the
+/// misses of an L1I simulated apart.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
-    l1i: Cache,
     l1d: Cache,
     l2: Cache,
     l3: Cache,
@@ -35,7 +37,6 @@ impl CacheHierarchy {
     /// Builds the hierarchy described by an architecture profile.
     pub fn for_arch(arch: &ArchProfile) -> Self {
         Self {
-            l1i: Cache::new(arch.l1i),
             l1d: Cache::new(arch.l1d),
             l2: Cache::new(arch.l2),
             l3: Cache::new(arch.l3),
@@ -44,21 +45,21 @@ impl CacheHierarchy {
 
     /// Performs a data access (load or store) at `address`.
     pub fn access_data(&mut self, address: u64) -> ServedBy {
-        if self.l1d.access(address) == AccessOutcome::Hit {
-            return ServedBy::L1;
-        }
-        self.access_shared(address)
+        self.access_data_repeated(address, 1)
     }
 
-    /// Performs an instruction fetch at `address`.
-    pub fn access_instruction(&mut self, address: u64) -> ServedBy {
-        if self.l1i.access(address) == AccessOutcome::Hit {
+    /// Performs `times` data accesses in a row to the line of `address`
+    /// and reports where the first was served; the others hit the L1D.
+    pub fn access_data_repeated(&mut self, address: u64, times: u64) -> ServedBy {
+        if self.l1d.access_repeated(address, times) == AccessOutcome::Hit {
             return ServedBy::L1;
         }
-        self.access_shared(address)
+        self.forward_l1_miss(address)
     }
 
-    fn access_shared(&mut self, address: u64) -> ServedBy {
+    /// Looks up an access that missed a first-level cache (the L1D, or an
+    /// L1I simulated apart) in L2, then L3.
+    pub fn forward_l1_miss(&mut self, address: u64) -> ServedBy {
         if self.l2.access(address) == AccessOutcome::Hit {
             return ServedBy::L2;
         }
@@ -71,15 +72,9 @@ impl CacheHierarchy {
     /// Clears all statistics while keeping cache contents, so that a
     /// warm-up pass does not distort steady-state hit ratios.
     pub fn reset_stats(&mut self) {
-        self.l1i.reset_stats();
         self.l1d.reset_stats();
         self.l2.reset_stats();
         self.l3.reset_stats();
-    }
-
-    /// Statistics of the L1 instruction cache.
-    pub fn l1i_stats(&self) -> CacheStats {
-        self.l1i.stats()
     }
 
     /// Statistics of the L1 data cache.
@@ -160,15 +155,29 @@ mod tests {
     #[test]
     fn instruction_and_data_paths_are_split_at_l1() {
         let mut h = hierarchy();
+        // An L1I miss enters at L2: it warms L2 but leaves the L1D alone.
+        assert_eq!(h.forward_l1_miss(0x400_000), ServedBy::Memory);
+        assert_eq!(h.l1d_stats().accesses(), 0);
+        assert_eq!(
+            h.access_data(0x400_000),
+            ServedBy::L2,
+            "L2 holds the fetched line"
+        );
         for _ in 0..10 {
-            h.access_instruction(0x400_000);
-            h.access_data(0x800_000);
+            assert_eq!(h.access_data(0x400_000), ServedBy::L1);
         }
-        assert_eq!(h.l1i_stats().accesses(), 10);
-        assert_eq!(h.l1d_stats().accesses(), 10);
-        // Each stream misses only once (cold) and then hits its own L1.
-        assert_eq!(h.l1i_stats().misses, 1);
         assert_eq!(h.l1d_stats().misses, 1);
+        assert_eq!(h.l2_stats().accesses(), 2);
+    }
+
+    #[test]
+    fn repeated_accesses_hit_the_l1d_after_the_first() {
+        let mut h = hierarchy();
+        assert_eq!(h.access_data_repeated(0x1230, 5), ServedBy::Memory);
+        assert_eq!(h.access_data_repeated(0x1238, 3), ServedBy::L1);
+        assert_eq!(h.l1d_stats().misses, 1);
+        assert_eq!(h.l1d_stats().hits, 7);
+        assert_eq!(h.l2_stats().accesses(), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`arch`] — [`arch::ArchProfile`] descriptions of the two processors
 //!   and [`arch::NodeConfig`]s of the evaluation clusters;
 //! * [`cache`] / [`hierarchy`] — set-associative LRU caches combined into
-//!   the L1I / L1D / L2 / L3 hierarchy;
+//!   the L1D / L2 / L3 hierarchy, which the L1I's misses enter at L2;
 //! * [`branch`] — the gshare branch predictor;
 //! * [`access`] — memory access-pattern descriptors and the sampled
 //!   synthetic address streams derived from them;
@@ -31,7 +31,8 @@
 //! * [`memo`] — [`memo::SimMemo`], one tune's memo of simulation
 //!   outcomes keyed on exactly the inputs each simulator reads, so a
 //!   probe that repeats an earlier probe's cache or branch inputs only
-//!   redoes the arithmetic, with bit-identical results.
+//!   redoes the arithmetic, with bit-identical results, plus the L1I
+//!   fetch trace of each code footprint.
 //!
 //! Both the "real" workload models (`dmpb-workloads`) and the proxy
 //! benchmarks (`dmpb-core`) are measured by this same engine, mirroring the

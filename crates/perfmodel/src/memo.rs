@@ -10,17 +10,26 @@
 //! Because a simulator reads nothing but its key, [`SimMemo::run`]
 //! returns exactly the bits of [`ExecutionEngine::run`].
 //!
+//! Besides the hierarchy and branch outcomes, the memo keeps one L1I fetch
+//! trace per code footprint (see [`crate::engine`]), built by the first
+//! hierarchy simulation with that footprint and replayed by the later
+//! ones; a tune sees one to three footprints.  Traces are not counted as
+//! simulations.
+//!
 //! The memo is bound to one engine, so the architecture and
 //! [`crate::engine::EngineConfig`] are fixed for its whole life.  It holds
-//! no global state, and its size is bounded by the number of profiles it
-//! has run.
+//! no global state: its outcomes and traces live and die with the tune
+//! that owns it, and its size is bounded by the number of profiles it has
+//! run.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
 use dmpb_metrics::MetricVector;
 
-use crate::engine::{BranchInputs, ExecutionEngine, HierarchyInputs, HierarchyOutcome, SimOutcome};
+use crate::engine::{
+    BranchInputs, ExecutionEngine, FetchTrace, HierarchyInputs, HierarchyOutcome, SimOutcome,
+};
 use crate::profile::OpProfile;
 
 /// Simulation outcomes of one engine, keyed by simulator inputs.
@@ -28,6 +37,9 @@ use crate::profile::OpProfile;
 pub struct SimMemo {
     engine: ExecutionEngine,
     hierarchy: HashMap<HierarchyInputs, HierarchyOutcome>,
+    /// Fetch traces by code footprint, built on a footprint's first
+    /// hierarchy simulation.
+    fetches: HashMap<u64, FetchTrace>,
     branches: HashMap<BranchInputs, f64>,
     sim_runs: usize,
     sim_memo_hits: usize,
@@ -39,6 +51,7 @@ impl SimMemo {
         Self {
             engine,
             hierarchy: HashMap::new(),
+            fetches: HashMap::new(),
             branches: HashMap::new(),
             sim_runs: 0,
             sim_memo_hits: 0,
@@ -53,11 +66,18 @@ impl SimMemo {
     /// Panics if `threads` is zero.
     pub fn run(&mut self, profile: &OpProfile, threads: u32) -> MetricVector {
         let engine = &self.engine;
+        let fetches = &mut self.fetches;
         let hierarchy = memoized(
             &mut self.hierarchy,
             engine.hierarchy_inputs(profile),
             (&mut self.sim_runs, &mut self.sim_memo_hits),
-            |inputs| engine.simulate_hierarchy(inputs),
+            |inputs| {
+                let footprint = inputs.code_footprint_bytes;
+                let trace = fetches
+                    .entry(footprint)
+                    .or_insert_with(|| engine.fetch_trace(footprint));
+                engine.simulate_hierarchy(inputs, trace)
+            },
         );
         let branch_miss_ratio = engine.branch_inputs(profile).map_or(0.0, |inputs| {
             memoized(

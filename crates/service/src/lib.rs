@@ -10,6 +10,8 @@
 //! * `POST /campaigns` — submit a scenario-DSL file; answers `202` with
 //!   a campaign id, `400` on parse errors, `429` when the fixed-depth
 //!   admission queue is full, `503` while shutting down.
+//! * Any request on a connection beyond [`MAX_CONNECTIONS`] open at once
+//!   gets `503` with `retry-after: 1`.
 //! * `GET /campaigns/<id>` — `202` with JSON status while queued or
 //!   running; `200` streaming the JSONL cell report (with
 //!   `x-dmpb-cells`, `x-dmpb-store-served`, `x-dmpb-digest` and
@@ -24,7 +26,8 @@
 //!
 //! Everything is hand-rolled over std TCP ([`http`]) — no external web
 //! framework — with every input bounded, so the daemon degrades rather
-//! than dies: full queues answer `429`, store persistence failures fall
+//! than dies: full queues answer `429`, a connection flood beyond
+//! [`MAX_CONNECTIONS`] answers `503`, store persistence failures fall
 //! back to in-memory operation, and panicking cells fail their campaign
 //! without taking the service down.
 //!
@@ -38,4 +41,4 @@ pub mod http;
 mod prometheus;
 mod service;
 
-pub use service::{serve, CampaignStatus, ServiceConfig, ServiceHandle};
+pub use service::{serve, CampaignStatus, ServiceConfig, ServiceHandle, MAX_CONNECTIONS};

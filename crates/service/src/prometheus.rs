@@ -179,6 +179,13 @@ pub(crate) fn render_metrics(state: &ServiceState) -> String {
     );
     metric(
         &mut out,
+        "dmpb_open_connections",
+        "gauge",
+        "Connections accepted and not yet closed (at the cap, new ones get 503).",
+        state.open_connections.load(Ordering::Relaxed),
+    );
+    metric(
+        &mut out,
         "dmpb_pool_workers",
         "gauge",
         "The most cells a campaign runs at once.",

@@ -12,9 +12,10 @@
 //! capped at that width, on threads that end with the campaign.
 
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -29,6 +30,13 @@ use dmpb_scenario::{
 
 use crate::http::{read_request, write_response, HttpError, Request, Response};
 use crate::prometheus::render_metrics;
+
+/// The most connections the daemon holds open at once.  Every open
+/// connection has a thread that may wait out its 10 s read timeout, so
+/// without a cap a connection flood is a thread flood.  The accept thread
+/// answers a connection beyond the cap `503` with `retry-after: 1`, under
+/// a 1 s write timeout, and closes it.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Configuration of a [`serve`] call.
 #[derive(Debug, Clone)]
@@ -148,6 +156,8 @@ pub(crate) struct ServiceState {
     pub(crate) queue_depth: usize,
     pub(crate) workers: usize,
     pub(crate) started: Instant,
+    /// Connections accepted and not yet closed.
+    pub(crate) open_connections: AtomicUsize,
     queue: Mutex<VecDeque<String>>,
     wake: Condvar,
     campaigns: Mutex<HashMap<String, CampaignEntry>>,
@@ -172,6 +182,7 @@ impl ServiceState {
             queue_depth: config.queue_depth,
             workers,
             started: Instant::now(),
+            open_connections: AtomicUsize::new(0),
             queue: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
             campaigns: Mutex::new(HashMap::new()),
@@ -289,6 +300,23 @@ pub fn serve(config: ServiceConfig) -> Result<ServiceHandle, String> {
     })
 }
 
+/// One open connection, counted in
+/// [`ServiceState::open_connections`] until it drops.
+struct OpenConnection(Arc<ServiceState>);
+
+impl OpenConnection {
+    fn new(state: &Arc<ServiceState>) -> Self {
+        state.open_connections.fetch_add(1, Ordering::SeqCst);
+        Self(Arc::clone(state))
+    }
+}
+
+impl Drop for OpenConnection {
+    fn drop(&mut self) {
+        self.0.open_connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 fn accept_loop(listener: TcpListener, state: Arc<ServiceState>) {
     loop {
         match listener.accept() {
@@ -296,13 +324,22 @@ fn accept_loop(listener: TcpListener, state: Arc<ServiceState>) {
                 if state.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                let state = Arc::clone(&state);
+                if state.open_connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                    refuse_connection(stream);
+                    continue;
+                }
+                // A second handle, to answer on if no thread can be had.
+                let fallback = stream.try_clone();
+                let open = OpenConnection::new(&state);
                 // One thread per connection: requests are short-lived
                 // (submit / poll / scrape) and read/write under timeouts,
                 // so a slow client ties up one thread, never the service.
-                let _ = std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name("campaignd-conn".to_string())
-                    .spawn(move || handle_connection(stream, &state));
+                    .spawn(move || handle_connection(stream, &open.0));
+                if let (Err(_), Ok(stream)) = (spawned, fallback) {
+                    refuse_connection(stream);
+                }
             }
             Err(_) => {
                 if state.shutdown.load(Ordering::SeqCst) {
@@ -367,6 +404,34 @@ fn dispatch_loop(state: Arc<ServiceState>) {
             .status = status;
     }
 }
+
+/// Answers a connection the daemon cannot serve now `503` from the accept
+/// thread, under short timeouts so a stalled client cannot hold it.
+fn refuse_connection(mut stream: TcpStream) {
+    stream.set_write_timeout(Some(Duration::from_secs(1))).ok();
+    stream.set_read_timeout(Some(REFUSAL_DRAIN)).ok();
+    let response =
+        Response::text(503, "too many open connections\n").with_header("retry-after", "1");
+    if write_response(&mut stream, &response).is_err() {
+        return;
+    }
+    // Closing over unread request bytes resets the connection, which can
+    // discard the 503 before the client reads it.  So send the end of
+    // the response and read what the client sends until it closes, for
+    // about `REFUSAL_DRAIN` at most.
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + REFUSAL_DRAIN;
+    let mut buf = [0u8; 1024];
+    while Instant::now() < deadline {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+    }
+}
+
+/// How long a refused connection's request is drained before closing.
+const REFUSAL_DRAIN: Duration = Duration::from_millis(100);
 
 fn handle_connection(mut stream: TcpStream, state: &ServiceState) {
     stream.set_read_timeout(Some(Duration::from_secs(10))).ok();

@@ -2,11 +2,12 @@
 //! clients, warm store-served re-submission, `/metrics` consistency with
 //! the store's own counters, and bounded-admission rejection.
 
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use dmpb_service::http::{http_request, ClientResponse};
-use dmpb_service::{serve, ServiceConfig};
+use dmpb_service::{serve, ServiceConfig, MAX_CONNECTIONS};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -375,4 +376,41 @@ fn sharded_store_daemon_exports_per_shard_metrics_that_sum_to_aggregates() {
 
     handle.shutdown();
     std::fs::remove_dir_all(store_dir.parent().unwrap()).ok();
+}
+
+#[test]
+fn connections_beyond_the_cap_get_503_until_some_close() {
+    let handle = serve(ServiceConfig::default()).unwrap();
+    let addr = handle.addr().to_string();
+    // Idle clients: each holds a connection thread in its read timeout.
+    let idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(&addr).unwrap())
+        .collect();
+    let (status, headers, _) = get(&addr, "/healthz");
+    assert_eq!(
+        status,
+        503,
+        "connection {} is beyond the cap",
+        MAX_CONNECTIONS + 1
+    );
+    assert_eq!(header(&headers, "retry-after"), "1");
+
+    drop(idle);
+    // Once the idle connections' threads end, only the scrape is open.
+    let deadline = Instant::now() + TIMEOUT;
+    loop {
+        let (status, _, body) = get(&addr, "/metrics");
+        if status == 200
+            && metric_value(&String::from_utf8(body).unwrap(), "dmpb_open_connections") == 1.0
+        {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "idle connections still open after {TIMEOUT:?}"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    assert_eq!(get(&addr, "/healthz").0, 200);
+    handle.shutdown();
 }
