@@ -63,7 +63,7 @@ impl AutoTuner {
     /// [`crate::runner::TuningCache`] to key memoized tuning results: two
     /// tuners with the same threshold and iteration budget produce the
     /// same fingerprint; any difference changes it.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         crate::fnv::hash_u64s([
             self.deviation_threshold.to_bits(),
             self.max_iterations as u64,

@@ -15,11 +15,11 @@ use dmpb_datagen::DataDescriptor;
 use dmpb_motifs::MotifKind;
 
 /// Identifier of a data node within a proxy DAG.
-pub type NodeId = usize;
+pub(crate) type NodeId = usize;
 
 /// A data node: an original or intermediate data set.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DataNode {
+pub(crate) struct DataNode {
     /// Human-readable label, e.g. `"input"` or `"sorted-runs"`.
     pub label: String,
     /// Descriptor of the data at this node.
@@ -29,7 +29,7 @@ pub struct DataNode {
 /// An edge: one data motif applied to the data at `from`, producing the
 /// data at `to`, contributing `weight` of the proxy's work.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MotifEdge {
+pub(crate) struct MotifEdge {
     /// Source data node.
     pub from: NodeId,
     /// Destination data node.
@@ -116,16 +116,6 @@ impl ProxyDag {
         false
     }
 
-    /// The data nodes.
-    pub fn nodes(&self) -> &[DataNode] {
-        &self.nodes
-    }
-
-    /// The motif edges.
-    pub fn edges(&self) -> &[MotifEdge] {
-        &self.edges
-    }
-
     /// Number of motif edges.
     pub fn num_edges(&self) -> usize {
         self.edges.len()
@@ -134,7 +124,7 @@ impl ProxyDag {
     /// Node ids in topological order ([`dmpb_motifs::topology`]'s shared
     /// Kahn implementation; among ready nodes the smallest id is taken
     /// first, so the order is deterministic).
-    pub fn topological_order(&self) -> Vec<NodeId> {
+    pub(crate) fn topological_order(&self) -> Vec<NodeId> {
         let pairs: Vec<(usize, usize)> = self.edges.iter().map(|e| (e.from, e.to)).collect();
         let order = dmpb_motifs::topology::topological_order(self.nodes.len(), &pairs);
         assert!(
@@ -149,7 +139,7 @@ impl ProxyDag {
     /// then insertion order.  Every edge into a node sorts before every
     /// edge out of it, and an edge's index in this order derives its
     /// execution seed.
-    pub fn topological_edges(&self) -> Vec<MotifEdge> {
+    pub(crate) fn topological_edges(&self) -> Vec<MotifEdge> {
         let mut position = vec![0usize; self.nodes.len()];
         for (pos, node) in self.topological_order().into_iter().enumerate() {
             position[node] = pos;
@@ -160,12 +150,12 @@ impl ProxyDag {
     }
 
     /// Largest number of edges leaving one node (≥ 2 means a fork).
-    pub fn max_out_degree(&self) -> usize {
+    pub(crate) fn max_out_degree(&self) -> usize {
         self.degree(|e| e.from)
     }
 
     /// Largest number of edges entering one node (≥ 2 means a join).
-    pub fn max_in_degree(&self) -> usize {
+    pub(crate) fn max_in_degree(&self) -> usize {
         self.degree(|e| e.to)
     }
 
@@ -233,7 +223,7 @@ mod tests {
     #[test]
     fn dag_construction_and_accessors() {
         let dag = sample_dag();
-        assert_eq!(dag.nodes().len(), 3);
+        assert_eq!(dag.nodes.len(), 3);
         assert_eq!(dag.num_edges(), 3);
         assert!(dag.describe().contains("quick-sort"));
     }
@@ -291,7 +281,7 @@ mod tests {
             dag.add_edge(input, sink, MotifKind::ALL[i], 0.2);
         }
         assert_eq!(dag.max_out_degree(), 3);
-        assert_eq!(dag.topological_edges(), dag.edges());
+        assert_eq!(dag.topological_edges(), dag.edges);
     }
 
     #[test]

@@ -15,13 +15,13 @@ use crate::parameters::ProxyParameters;
 
 /// How much the original input volume is scaled down for the proxy's
 /// initial `dataSize` (the auto-tuner may adjust it further).
-pub const DEFAULT_DATA_SCALE_DOWN: u64 = 512;
+pub(crate) const DEFAULT_DATA_SCALE_DOWN: u64 = 512;
 
 /// Initial stack-emulation weight for a Spark-stack proxy.  Spark pipelines
 /// narrow stages and caches deserialised RDDs, so a smaller share of its
 /// time is managed-runtime overhead than under MapReduce (whose big-data
 /// default is 0.45); the auto-tuner refines it from there.
-pub const SPARK_INITIAL_FRAMEWORK_WEIGHT: f64 = 0.30;
+pub(crate) const SPARK_INITIAL_FRAMEWORK_WEIGHT: f64 = 0.30;
 
 /// The metric targets and qualification threshold of a proxy generation
 /// run.

@@ -23,7 +23,7 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a over a word sequence (one mixing step per word).
-pub fn hash_u64s<I: IntoIterator<Item = u64>>(values: I) -> u64 {
+pub(crate) fn hash_u64s<I: IntoIterator<Item = u64>>(values: I) -> u64 {
     let mut h = OFFSET;
     for v in values {
         h ^= v;

@@ -2,8 +2,9 @@
 //!
 //! The generated proxy carries the workload's declared fork/join
 //! [`DagPlan`](dmpb_motifs::DagPlan) through the decomposition, so
-//! [`GenerationReport::dag`] yields the executable branching DAG the
-//! serial [`crate::executor::DagExecutor`] runs.
+//! [`ProxyBenchmark::dag`](crate::ProxyBenchmark::dag) yields the
+//! executable branching DAG the serial [`crate::executor::DagExecutor`]
+//! runs.
 
 use dmpb_metrics::{AccuracyReport, MetricVector};
 use dmpb_workloads::workload::Workload;
@@ -35,14 +36,6 @@ pub struct GenerationReport {
     pub iterations: usize,
     /// Runtime speedup of the proxy over the original (Table VI).
     pub speedup: f64,
-}
-
-impl GenerationReport {
-    /// The tuned proxy's executable DAG (the workload's declared fork/join
-    /// topology with effectively weighted motif edges).
-    pub fn dag(&self) -> crate::dag::ProxyDag {
-        self.proxy.dag()
-    }
 }
 
 /// Drives decomposition, feature selection and auto-tuning for a workload

@@ -15,7 +15,7 @@ use crate::parameters::{Direction, ParameterId};
 use crate::proxy::ProxyBenchmark;
 
 /// One candidate tuning action.
-pub type Action = (ParameterId, Direction);
+pub(crate) type Action = (ParameterId, Direction);
 
 /// Relative metric changes caused by one action.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,7 +50,7 @@ pub fn analyze(proxy: &ProxyBenchmark, arch: &ArchProfile, metrics: &[MetricId])
 
 /// [`analyze`] on the memo's architecture, measuring every probe through
 /// `memo` so later probes of the same tune can reuse its simulations.
-pub fn analyze_with(
+pub(crate) fn analyze_with(
     proxy: &ProxyBenchmark,
     metrics: &[MetricId],
     memo: &mut SimMemo,
@@ -91,14 +91,14 @@ pub fn analyze_with(
 
 impl ImpactAnalysis {
     /// The candidate actions in entry order.
-    pub fn actions(&self) -> Vec<Action> {
+    pub(crate) fn actions(&self) -> Vec<Action> {
         self.entries.iter().map(|e| e.action).collect()
     }
 
     /// Training samples for the decision tree: each action's impact vector
     /// labels itself, augmented with scaled copies so the tree sees that
     /// the *direction* of the needed change matters more than its size.
-    pub fn training_samples(&self) -> Vec<Sample> {
+    pub(crate) fn training_samples(&self) -> Vec<Sample> {
         let mut samples = Vec::new();
         for (label, entry) in self.entries.iter().enumerate() {
             for scale in [0.5, 1.0, 2.0] {
@@ -113,7 +113,11 @@ impl ImpactAnalysis {
 
     /// The action whose impact on `metric` is strongest in the direction of
     /// `needed_change` (the greedy baseline tuner).
-    pub fn best_greedy_action(&self, metric: MetricId, needed_change: f64) -> Option<Action> {
+    pub(crate) fn best_greedy_action(
+        &self,
+        metric: MetricId,
+        needed_change: f64,
+    ) -> Option<Action> {
         let index = self.metrics.iter().position(|&m| m == metric)?;
         self.entries
             .iter()

@@ -16,7 +16,7 @@
 //!    metrics to match (Table V) and initialise the parameter vector **P**
 //!    (Table I: dataSize, chunkSize, numTasks, weight, batchSize, …) from
 //!    the original workload's configuration, scaling the input data down.
-//! 3. **Adjusting stage** ([`impact`], [`dtree`], [`autotune`]) — learn the
+//! 3. **Adjusting stage** ([`impact`], `dtree`, [`autotune`]) — learn the
 //!    impact of each parameter on each metric by one-parameter-at-a-time
 //!    perturbation, train a decision tree on those impacts, and use it to
 //!    pick which parameter to adjust when a metric deviates.
@@ -26,7 +26,7 @@
 //!    are fed back to the adjusting stage.
 //!
 //! The result is a [`proxy::ProxyBenchmark`] (see [`generator`] for the
-//! end-to-end driver and [`suite`] for the eight-proxy suite: the five
+//! end-to-end driver and `suite` for the eight-proxy suite: the five
 //! proxies of the paper's evaluation plus the three Spark stack twins),
 //! which can be measured under the shared performance-model instrument or
 //! executed for real on generated sample data: the workload's declared
@@ -47,7 +47,7 @@
 pub mod autotune;
 pub mod dag;
 pub mod decompose;
-pub mod dtree;
+pub(crate) mod dtree;
 pub mod executor;
 pub mod features;
 pub mod fnv;
@@ -56,7 +56,7 @@ pub mod impact;
 pub mod parameters;
 pub mod proxy;
 pub mod runner;
-pub mod suite;
+pub(crate) mod suite;
 
 pub use executor::{DagExecution, DagExecutor};
 pub use generator::{GenerationReport, ProxyGenerator};

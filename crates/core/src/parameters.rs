@@ -112,7 +112,7 @@ impl ProxyParameters {
     }
 
     /// Default starting point for an AI proxy over `data_size_bytes`.
-    pub fn ai(
+    pub(crate) fn ai(
         data_size_bytes: u64,
         num_tasks: u32,
         batch_size: u32,
@@ -127,18 +127,6 @@ impl ProxyParameters {
             geometry,
             framework_weight: 0.08,
             spill_to_disk: false,
-        }
-    }
-
-    /// Reads one parameter as a float (used by the impact analysis).
-    pub fn get(&self, id: ParameterId) -> f64 {
-        match id {
-            ParameterId::DataSize => self.data_size_bytes as f64,
-            ParameterId::ChunkSize => self.chunk_size_bytes as f64,
-            ParameterId::NumTasks => f64::from(self.num_tasks),
-            ParameterId::Weight => self.weight_skew,
-            ParameterId::BatchSize => f64::from(self.batch_size),
-            ParameterId::FrameworkWeight => self.framework_weight,
         }
     }
 
@@ -187,7 +175,7 @@ impl ProxyParameters {
     }
 
     /// The motif-level configuration this parameter vector implies.
-    pub fn motif_config(&self) -> MotifConfig {
+    pub(crate) fn motif_config(&self) -> MotifConfig {
         MotifConfig {
             chunk_bytes: self.chunk_size_bytes,
             num_tasks: self.num_tasks,
@@ -218,14 +206,26 @@ mod tests {
         assert!(names.contains(&"weight"));
     }
 
+    /// Reads one parameter as a float.
+    fn value(p: &ProxyParameters, id: ParameterId) -> f64 {
+        match id {
+            ParameterId::DataSize => p.data_size_bytes as f64,
+            ParameterId::ChunkSize => p.chunk_size_bytes as f64,
+            ParameterId::NumTasks => f64::from(p.num_tasks),
+            ParameterId::Weight => p.weight_skew,
+            ParameterId::BatchSize => f64::from(p.batch_size),
+            ParameterId::FrameworkWeight => p.framework_weight,
+        }
+    }
+
     #[test]
     fn adjustments_move_in_the_requested_direction_and_are_bounded() {
         let p = ProxyParameters::big_data(256 << 20, 8);
         for id in ParameterId::ALL {
             let up = p.adjusted(id, Direction::Up);
             let down = p.adjusted(id, Direction::Down);
-            assert!(up.get(id) >= p.get(id), "{id} up");
-            assert!(down.get(id) <= p.get(id), "{id} down");
+            assert!(value(&up, id) >= value(&p, id), "{id} up");
+            assert!(value(&down, id) <= value(&p, id), "{id} down");
         }
         // Repeated weight increases stay within the ±10 % window.
         let mut w = p;

@@ -63,11 +63,6 @@ impl ProxyBenchmark {
         }
     }
 
-    /// Which original workload this proxy stands in for.
-    pub fn kind(&self) -> WorkloadKind {
-        self.kind
-    }
-
     /// The proxy's name (e.g. "Proxy TeraSort").
     pub fn name(&self) -> &'static str {
         self.kind.proxy_name()
@@ -90,7 +85,7 @@ impl ProxyBenchmark {
 
     /// Returns a copy with a different parameter vector (used by the
     /// auto-tuner's adjusting stage).
-    pub fn with_parameters(&self, parameters: ProxyParameters) -> Self {
+    pub(crate) fn with_parameters(&self, parameters: ProxyParameters) -> Self {
         Self {
             parameters,
             ..self.clone()
@@ -117,7 +112,7 @@ impl ProxyBenchmark {
     /// Effective component weights after applying the weight-skew
     /// parameter: the dominant component is scaled by the skew and the
     /// result renormalised.
-    pub fn effective_weights(&self) -> Vec<(MotifKind, f64)> {
+    pub(crate) fn effective_weights(&self) -> Vec<(MotifKind, f64)> {
         if self.components.is_empty() {
             return Vec::new();
         }
@@ -261,7 +256,7 @@ impl ProxyBenchmark {
 
     /// [`ProxyBenchmark::measure`] on the memo's architecture, reusing any
     /// cache or branch simulation `memo` already holds (bit-identical).
-    pub fn measure_with(&self, memo: &mut SimMemo) -> MetricVector {
+    pub(crate) fn measure_with(&self, memo: &mut SimMemo) -> MetricVector {
         memo.run(&self.profile(), self.parameters.num_tasks)
     }
 
@@ -350,7 +345,7 @@ mod tests {
     fn dag_edge_weights_are_the_effective_weights() {
         for proxy in proxies() {
             let weights: HashMap<MotifKind, f64> = proxy.effective_weights().into_iter().collect();
-            for edge in proxy.dag().edges() {
+            for edge in proxy.dag().topological_edges() {
                 assert_eq!(edge.weight, weights[&edge.motif], "{}", proxy.name());
             }
         }

@@ -24,15 +24,6 @@ pub enum DataClass {
 }
 
 impl DataClass {
-    /// All data classes, in a stable order.
-    pub const ALL: [DataClass; 5] = [
-        DataClass::Text,
-        DataClass::Vector,
-        DataClass::Graph,
-        DataClass::Matrix,
-        DataClass::Image,
-    ];
-
     /// Human-readable name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -211,9 +202,16 @@ mod tests {
 
     #[test]
     fn class_names_are_unique() {
-        let mut names: Vec<&str> = DataClass::ALL.iter().map(|c| c.name()).collect();
+        let all = [
+            DataClass::Text,
+            DataClass::Vector,
+            DataClass::Graph,
+            DataClass::Matrix,
+            DataClass::Image,
+        ];
+        let mut names: Vec<&str> = all.iter().map(|c| c.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), DataClass::ALL.len());
+        assert_eq!(names.len(), all.len());
     }
 }

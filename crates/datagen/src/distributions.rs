@@ -52,17 +52,7 @@ impl Zipf {
         Self { cdf }
     }
 
-    /// Number of items in the support.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Returns true if the support is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// Draws one item index in `0..self.len()`.
+    /// Draws one item index in `0..n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         match self
@@ -80,7 +70,7 @@ impl Zipf {
 /// `rand_distr` is not part of the approved dependency set, so the normal
 /// distribution is implemented directly.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Gaussian {
+pub(crate) struct Gaussian {
     mean: f64,
     std_dev: f64,
 }
@@ -91,7 +81,7 @@ impl Gaussian {
     /// # Panics
     ///
     /// Panics if `std_dev` is negative or not finite.
-    pub fn new(mean: f64, std_dev: f64) -> Self {
+    pub(crate) fn new(mean: f64, std_dev: f64) -> Self {
         assert!(
             std_dev.is_finite() && std_dev >= 0.0,
             "std_dev must be >= 0"
@@ -99,18 +89,8 @@ impl Gaussian {
         Self { mean, std_dev }
     }
 
-    /// Mean of the distribution.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Standard deviation of the distribution.
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
-    }
-
     /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // Box–Muller: avoid u1 == 0 to keep ln finite.
         let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
         let u2: f64 = rng.gen();
@@ -125,7 +105,7 @@ impl Gaussian {
 /// A `sparsity` of `0.9` reproduces the paper's "90 % sparse" K-means
 /// vectors; `0.0` reproduces the dense configuration of Fig. 7 / Fig. 8.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SparsityMask {
+pub(crate) struct SparsityMask {
     sparsity: f64,
 }
 
@@ -135,7 +115,7 @@ impl SparsityMask {
     /// # Panics
     ///
     /// Panics if `sparsity` is outside `[0, 1]`.
-    pub fn new(sparsity: f64) -> Self {
+    pub(crate) fn new(sparsity: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&sparsity),
             "sparsity must be within [0, 1], got {sparsity}"
@@ -143,13 +123,8 @@ impl SparsityMask {
         Self { sparsity }
     }
 
-    /// The probability that an element is zeroed.
-    pub fn sparsity(&self) -> f64 {
-        self.sparsity
-    }
-
     /// Returns true if the next element should be kept (non-zero).
-    pub fn keep<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+    pub(crate) fn keep<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         if self.sparsity <= 0.0 {
             true
         } else if self.sparsity >= 1.0 {

@@ -82,7 +82,7 @@ impl CsrGraph {
     /// # Panics
     ///
     /// Panics if `v` is out of range.
-    pub fn out_degree(&self, v: usize) -> usize {
+    pub(crate) fn out_degree(&self, v: usize) -> usize {
         self.offsets[v + 1] - self.offsets[v]
     }
 
@@ -157,16 +157,6 @@ impl GraphSpec {
         }
     }
 
-    /// A uniform random graph.
-    pub fn uniform(num_vertices: usize, avg_degree: usize, seed: u64) -> Self {
-        Self {
-            num_vertices,
-            avg_degree,
-            kind: GraphKind::Uniform,
-            seed,
-        }
-    }
-
     /// Descriptor for this graph (8 bytes per edge: two 4-byte vertex ids).
     pub fn descriptor(&self) -> DataDescriptor {
         let edges = (self.num_vertices * self.avg_degree) as u64;
@@ -208,7 +198,7 @@ impl GraphGenerator {
     /// # Panics
     ///
     /// Panics if `start > end`.
-    pub fn generate_edge_range(&self, start: usize, end: usize) -> Vec<(u32, u32)> {
+    pub(crate) fn generate_edge_range(&self, start: usize, end: usize) -> Vec<(u32, u32)> {
         assert!(start <= end, "invalid edge range {start}..{end}");
         let spec = self.spec;
         let base = derive_seed(spec.seed, 0x6772_6170);
@@ -237,11 +227,6 @@ impl GraphGenerator {
             }
         }
         edges
-    }
-
-    /// The specification this generator was built from.
-    pub fn spec(&self) -> &GraphSpec {
-        &self.spec
     }
 }
 
@@ -292,7 +277,13 @@ mod tests {
 
     #[test]
     fn generated_edge_count_matches_spec() {
-        let g = GraphGenerator::new(GraphSpec::uniform(300, 5, 2)).generate();
+        let g = GraphGenerator::new(GraphSpec {
+            num_vertices: 300,
+            avg_degree: 5,
+            kind: GraphKind::Uniform,
+            seed: 2,
+        })
+        .generate();
         assert_eq!(g.num_vertices(), 300);
         assert_eq!(g.num_edges(), 1500);
     }
@@ -300,7 +291,11 @@ mod tests {
     #[test]
     fn power_law_graph_is_more_skewed_than_uniform() {
         let pl = GraphGenerator::new(GraphSpec::power_law(2000, 8, 3)).generate();
-        let un = GraphGenerator::new(GraphSpec::uniform(2000, 8, 3)).generate();
+        let un = GraphGenerator::new(GraphSpec {
+            kind: GraphKind::Uniform,
+            ..GraphSpec::power_law(2000, 8, 3)
+        })
+        .generate();
         let max_in_pl = *in_degrees(&pl).iter().max().unwrap();
         let max_in_un = *in_degrees(&un).iter().max().unwrap();
         assert!(

@@ -22,16 +22,6 @@ pub enum TensorLayout {
     Nhwc,
 }
 
-impl TensorLayout {
-    /// The TensorFlow name of the layout.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TensorLayout::Nchw => "NCHW",
-            TensorLayout::Nhwc => "NHWC",
-        }
-    }
-}
-
 /// Shape of a 4-D image batch tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TensorShape {
@@ -67,12 +57,12 @@ impl TensorShape {
     }
 
     /// Total number of elements.
-    pub fn num_elements(&self) -> usize {
+    pub(crate) fn num_elements(&self) -> usize {
         self.batch * self.channels * self.height * self.width
     }
 
     /// Elements per single image (C*H*W).
-    pub fn elements_per_image(&self) -> usize {
+    pub(crate) fn elements_per_image(&self) -> usize {
         self.channels * self.height * self.width
     }
 }
@@ -115,7 +105,7 @@ impl ImageTensor {
     /// # Panics
     ///
     /// Panics if any coordinate is out of range.
-    pub fn index(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
+    pub(crate) fn index(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
         let s = self.shape;
         assert!(
             n < s.batch && c < s.channels && h < s.height && w < s.width,
@@ -167,7 +157,7 @@ impl ImageGenerator {
     /// # Panics
     ///
     /// Panics if `start > end`.
-    pub fn generate_image_range(
+    pub(crate) fn generate_image_range(
         &self,
         shape: TensorShape,
         layout: TensorLayout,

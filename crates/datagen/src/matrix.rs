@@ -8,7 +8,6 @@
 
 use rand::Rng;
 
-use crate::descriptor::{DataClass, DataDescriptor, Distribution};
 use crate::distributions::SparsityMask;
 use crate::rng::{derive_seed, seeded_rng};
 
@@ -35,19 +34,9 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "buffer does not match shape");
         Self { rows, cols, data }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Element at `(r, c)`.
@@ -68,16 +57,6 @@ impl DenseMatrix {
     pub fn set(&mut self, r: usize, c: usize, v: f64) {
         assert!(r < self.rows && c < self.cols, "index out of range");
         self.data[r * self.cols + c] = v;
-    }
-
-    /// Borrow row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    pub fn row(&self, r: usize) -> &[f64] {
-        assert!(r < self.rows, "row out of range");
-        &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// The underlying row-major buffer.
@@ -130,7 +109,7 @@ impl CsrMatrix {
     ///
     /// Panics if a column index is out of range or the entry list does not
     /// have exactly `rows` rows.
-    pub fn from_rows(rows: usize, cols: usize, entries: &[Vec<(u32, f64)>]) -> Self {
+    pub(crate) fn from_rows(rows: usize, cols: usize, entries: &[Vec<(u32, f64)>]) -> Self {
         assert_eq!(
             entries.len(),
             rows,
@@ -159,16 +138,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Number of stored non-zero values.
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -189,7 +158,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `r` is out of range.
-    pub fn row_entries(&self, r: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
+    pub(crate) fn row_entries(&self, r: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
         let lo = self.offsets[r];
         let hi = self.offsets[r + 1];
         self.indices[lo..hi]
@@ -251,17 +220,6 @@ impl MatrixSpec {
         }
     }
 
-    /// Descriptor for the generated matrix.
-    pub fn descriptor(&self) -> DataDescriptor {
-        DataDescriptor::new(
-            DataClass::Matrix,
-            (self.rows * self.cols * std::mem::size_of::<f64>()) as u64,
-            std::mem::size_of::<f64>() as u64,
-            self.sparsity,
-            Distribution::Uniform,
-        )
-    }
-
     /// Generates a dense matrix (zero entries where the sparsity mask
     /// strikes).
     pub fn generate_dense(&self) -> DenseMatrix {
@@ -279,7 +237,7 @@ impl MatrixSpec {
     /// # Panics
     ///
     /// Panics if `start > end`.
-    pub fn generate_dense_rows(&self, start: usize, end: usize) -> DenseMatrix {
+    pub(crate) fn generate_dense_rows(&self, start: usize, end: usize) -> DenseMatrix {
         assert!(start <= end, "invalid row range {start}..{end}");
         let mask = SparsityMask::new(self.sparsity);
         let mut data = Vec::with_capacity((end - start) * self.cols);
@@ -326,7 +284,7 @@ mod tests {
         let mut m = DenseMatrix::zeros(2, 3);
         m.set(1, 2, 5.0);
         assert_eq!(m.get(1, 2), 5.0);
-        assert_eq!(m.row(1), &[0.0, 0.0, 5.0]);
+        assert_eq!(&m.as_slice()[3..], &[0.0, 0.0, 5.0]);
     }
 
     #[test]
@@ -368,8 +326,8 @@ mod tests {
         let sparse = spec.generate_sparse();
         let x: Vec<f64> = (0..20).map(|i| i as f64 * 0.1).collect();
         let y_sparse = sparse.spmv(&x);
-        for (r, ys) in y_sparse.iter().enumerate() {
-            let yd: f64 = dense.row(r).iter().zip(&x).map(|(a, b)| a * b).sum();
+        for (r, (ys, row)) in y_sparse.iter().zip(dense.as_slice().chunks(20)).enumerate() {
+            let yd: f64 = row.iter().zip(&x).map(|(a, b)| a * b).sum();
             assert!((ys - yd).abs() < 1e-9, "row {r}: {ys} vs {yd}");
         }
     }
@@ -394,12 +352,5 @@ mod tests {
     fn frobenius_norm_of_identityish() {
         let m = DenseMatrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 4.0]);
         assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn descriptor_matches_shape() {
-        let d = MatrixSpec::dense(10, 20, 1).descriptor();
-        assert_eq!(d.class, DataClass::Matrix);
-        assert_eq!(d.total_bytes, 10 * 20 * 8);
     }
 }

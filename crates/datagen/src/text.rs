@@ -39,26 +39,8 @@ impl RecordSet {
         &self.data
     }
 
-    /// Borrow record `i` (key + payload).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn record(&self, i: usize) -> &[u8] {
-        &self.data[i * RECORD_LEN..(i + 1) * RECORD_LEN]
-    }
-
-    /// Borrow the 10-byte key of record `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn key(&self, i: usize) -> &[u8] {
-        &self.data[i * RECORD_LEN..i * RECORD_LEN + KEY_LEN]
-    }
-
     /// Iterates over the records in order.
-    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
         self.data.chunks_exact(RECORD_LEN)
     }
 
@@ -180,8 +162,8 @@ mod tests {
     #[test]
     fn keys_are_printable_ascii() {
         let rs = TextGenerator::new(3).generate(32);
-        for i in 0..rs.len() {
-            for &b in rs.key(i) {
+        for key in rs.keys() {
+            for b in key {
                 assert!((b' '..=b'~').contains(&b));
             }
         }
@@ -190,8 +172,8 @@ mod tests {
     #[test]
     fn record_accessors_are_consistent() {
         let rs = TextGenerator::new(4).generate(10);
-        for i in 0..10 {
-            assert_eq!(&rs.record(i)[..KEY_LEN], rs.key(i));
+        for (record, key) in rs.iter().zip(rs.keys()) {
+            assert_eq!(&record[..KEY_LEN], &key);
         }
         assert_eq!(rs.iter().count(), 10);
         assert_eq!(rs.keys().len(), 10);

@@ -6,19 +6,13 @@
 //! provides both, behind a single [`VectorDatasetSpec`] so that the
 //! experiments can flip only the sparsity knob.
 
-use crate::descriptor::{DataClass, DataDescriptor, Distribution};
 use crate::distributions::{Gaussian, SparsityMask};
 use crate::rng::{derive_seed, seeded_rng};
 
-/// A dense feature vector.
-pub type DenseVector = Vec<f64>;
-
-/// A sparse vector stored as parallel `(index, value)` arrays.
+/// A sparse vector stored as `(index, value)` entries.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SparseVector {
-    dim: usize,
-    indices: Vec<u32>,
-    values: Vec<f64>,
+pub(crate) struct SparseVector {
+    entries: Vec<(u32, f64)>,
 }
 
 impl SparseVector {
@@ -28,7 +22,7 @@ impl SparseVector {
     ///
     /// Panics if the arrays have different lengths, if an index is out of
     /// range, or if indices are not strictly increasing.
-    pub fn new(dim: usize, indices: Vec<u32>, values: Vec<f64>) -> Self {
+    pub(crate) fn new(dim: usize, indices: Vec<u32>, values: Vec<f64>) -> Self {
         assert_eq!(indices.len(), values.len(), "index/value length mismatch");
         assert!(
             indices.windows(2).all(|w| w[0] < w[1]),
@@ -41,39 +35,13 @@ impl SparseVector {
             );
         }
         Self {
-            dim,
-            indices,
-            values,
+            entries: indices.into_iter().zip(values).collect(),
         }
-    }
-
-    /// Dimensionality of the vector.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Number of stored (non-zero) entries.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Stored indices, strictly increasing.
-    pub fn indices(&self) -> &[u32] {
-        &self.indices
-    }
-
-    /// Stored values, parallel to [`indices`](Self::indices).
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Expands to a dense vector.
-    pub fn to_dense(&self) -> DenseVector {
-        let mut out = vec![0.0; self.dim];
-        for (&i, &v) in self.indices.iter().zip(&self.values) {
-            out[i as usize] = v;
-        }
-        out
+    pub(crate) fn nnz(&self) -> usize {
+        self.entries.len()
     }
 }
 
@@ -111,20 +79,6 @@ impl VectorDatasetSpec {
             seed,
         }
     }
-
-    /// Descriptor for this data set (8-byte elements per dimension).
-    pub fn descriptor(&self) -> DataDescriptor {
-        DataDescriptor::new(
-            DataClass::Vector,
-            (self.count * self.dim * std::mem::size_of::<f64>()) as u64,
-            (self.dim * std::mem::size_of::<f64>()) as u64,
-            self.sparsity,
-            Distribution::Gaussian {
-                mean: 0.0,
-                std_dev: 1.0,
-            },
-        )
-    }
 }
 
 /// A generated set of vectors, stored sparsely.
@@ -151,7 +105,11 @@ impl VectorDataset {
     /// # Panics
     ///
     /// Panics if `start > end`.
-    pub fn generate_range(spec: VectorDatasetSpec, start: usize, end: usize) -> Vec<SparseVector> {
+    pub(crate) fn generate_range(
+        spec: VectorDatasetSpec,
+        start: usize,
+        end: usize,
+    ) -> Vec<SparseVector> {
         assert!(start <= end, "invalid vector range {start}..{end}");
         let gaussian = Gaussian::new(0.0, 1.0);
         let mask = SparsityMask::new(spec.sparsity);
@@ -171,26 +129,6 @@ impl VectorDataset {
             .collect()
     }
 
-    /// The specification this data set was generated from.
-    pub fn spec(&self) -> &VectorDatasetSpec {
-        &self.spec
-    }
-
-    /// Number of vectors.
-    pub fn len(&self) -> usize {
-        self.vectors.len()
-    }
-
-    /// Returns true if the data set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
-    }
-
-    /// Borrow all vectors.
-    pub fn vectors(&self) -> &[SparseVector] {
-        &self.vectors
-    }
-
     /// Measured fraction of zero-valued elements across the data set.
     pub fn measured_sparsity(&self) -> f64 {
         let total: usize = self.vectors.len() * self.spec.dim;
@@ -199,11 +137,6 @@ impl VectorDataset {
         }
         let nnz: usize = self.vectors.iter().map(SparseVector::nnz).sum();
         1.0 - nnz as f64 / total as f64
-    }
-
-    /// Expands every vector to dense form (used by the dense K-means path).
-    pub fn to_dense(&self) -> Vec<DenseVector> {
-        self.vectors.iter().map(SparseVector::to_dense).collect()
     }
 }
 
@@ -214,7 +147,7 @@ mod tests {
     #[test]
     fn sparse_generation_matches_sparsity() {
         let ds = VectorDataset::generate(VectorDatasetSpec::sparse(200, 100, 11));
-        assert_eq!(ds.len(), 200);
+        assert_eq!(ds.vectors.len(), 200);
         assert!((ds.measured_sparsity() - 0.9).abs() < 0.02);
     }
 
@@ -222,7 +155,7 @@ mod tests {
     fn dense_generation_has_zero_sparsity() {
         let ds = VectorDataset::generate(VectorDatasetSpec::dense(50, 64, 12));
         assert_eq!(ds.measured_sparsity(), 0.0);
-        for v in ds.vectors() {
+        for v in &ds.vectors {
             assert_eq!(v.nnz(), 64);
         }
     }
@@ -246,14 +179,8 @@ mod tests {
                 vectors.extend(VectorDataset::generate_range(spec, start, end));
                 start = end;
             }
-            assert_eq!(vectors, whole.vectors(), "chunk={chunk}");
+            assert_eq!(vectors, whole.vectors, "chunk={chunk}");
         }
-    }
-
-    #[test]
-    fn sparse_to_dense_round_trip() {
-        let v = SparseVector::new(5, vec![1, 3], vec![2.0, -4.0]);
-        assert_eq!(v.to_dense(), vec![0.0, 2.0, 0.0, -4.0, 0.0]);
     }
 
     #[test]
@@ -266,14 +193,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn sparse_vector_rejects_out_of_range_index() {
         let _ = SparseVector::new(2, vec![5], vec![1.0]);
-    }
-
-    #[test]
-    fn descriptor_tracks_spec() {
-        let spec = VectorDatasetSpec::sparse(1000, 50, 1);
-        let d = spec.descriptor();
-        assert_eq!(d.class, DataClass::Vector);
-        assert_eq!(d.sparsity, 0.9);
-        assert_eq!(d.element_count(), 1000);
     }
 }

@@ -1,11 +1,13 @@
-//! Accuracy scoring (Equation 3 of the paper) and deviation analysis.
+//! Accuracy scoring (Equation 3 of the paper).
 //!
 //! `Accuracy(ValR, ValP) = 1 - |ValP - ValR| / ValR`, where `ValR` is the
 //! real workload's (node-averaged) value and `ValP` the proxy's value.
 //! The paper clamps interpretation to `[0, 1]`: numbers closer to 1 mean
-//! higher accuracy.  The feedback stage of the auto-tuner instead works
-//! with the *deviation* `|ValP - ValR| / ValR` and iterates until every
-//! tracked metric deviates by less than the configured bound (15 %).
+//! higher accuracy.  The feedback stage of the auto-tuner works with the
+//! same scores: it keeps a candidate when the mean accuracy over the
+//! tracked metrics rises, and stops once [`AccuracyReport::is_qualified`]
+//! holds, i.e. every metric's accuracy is at least `1 - t` for the
+//! configured bound `t` (15 %).
 
 use crate::vector::{MetricId, MetricVector};
 
@@ -19,17 +21,6 @@ pub fn accuracy(real: f64, proxy: f64) -> f64 {
         return if proxy == 0.0 { 1.0 } else { 0.0 };
     }
     (1.0 - ((proxy - real) / real).abs()).clamp(0.0, 1.0)
-}
-
-/// Relative deviation `|ValP - ValR| / ValR` used by the feedback stage.
-///
-/// A zero real value with a non-zero proxy value is reported as an infinite
-/// deviation.
-pub fn deviation(real: f64, proxy: f64) -> f64 {
-    if real == 0.0 {
-        return if proxy == 0.0 { 0.0 } else { f64::INFINITY };
-    }
-    ((proxy - real) / real).abs()
 }
 
 /// Accuracy of a proxy metric vector against the real workload's vector
@@ -47,12 +38,6 @@ impl AccuracyReport {
             .map(|&id| (id, accuracy(real.get(id), proxy.get(id))))
             .collect();
         Self { entries }
-    }
-
-    /// Compares over the paper's default tuning metrics (everything except
-    /// raw runtime).
-    pub fn compare_default(real: &MetricVector, proxy: &MetricVector) -> Self {
-        Self::compare(real, proxy, &MetricId::TUNABLE)
     }
 
     /// Per-metric `(id, accuracy)` entries in the order they were requested.
@@ -74,15 +59,6 @@ impl AccuracyReport {
         self.entries.iter().map(|(_, a)| a).sum::<f64>() / self.entries.len() as f64
     }
 
-    /// Minimum accuracy across all compared metrics.
-    pub fn worst(&self) -> f64 {
-        self.entries
-            .iter()
-            .map(|(_, a)| *a)
-            .fold(f64::INFINITY, f64::min)
-            .min(1.0)
-    }
-
     /// The metric with the lowest accuracy, if any metrics were compared.
     pub fn worst_metric(&self) -> Option<(MetricId, f64)> {
         self.entries
@@ -93,7 +69,7 @@ impl AccuracyReport {
 
     /// Metrics whose deviation exceeds `threshold` (i.e. accuracy below
     /// `1 - threshold`), the set fed back to the adjusting stage.
-    pub fn exceeding(&self, threshold: f64) -> Vec<(MetricId, f64)> {
+    pub(crate) fn exceeding(&self, threshold: f64) -> Vec<(MetricId, f64)> {
         self.entries
             .iter()
             .copied()
@@ -101,8 +77,8 @@ impl AccuracyReport {
             .collect()
     }
 
-    /// Returns true if every compared metric deviates by at most
-    /// `threshold` — the paper's qualification condition.
+    /// Returns true if every compared metric's accuracy is at least
+    /// `1 - threshold` — the paper's qualification condition.
     pub fn is_qualified(&self, threshold: f64) -> bool {
         self.exceeding(threshold).is_empty()
     }
@@ -153,16 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn deviation_matches_definition() {
-        assert!((deviation(100.0, 85.0) - 0.15).abs() < 1e-12);
-        assert_eq!(deviation(0.0, 0.0), 0.0);
-        assert!(deviation(0.0, 1.0).is_infinite());
-    }
-
-    #[test]
     fn identical_vectors_are_fully_accurate() {
         let v = vector(1.0);
-        let report = AccuracyReport::compare_default(&v, &v);
+        let report = AccuracyReport::compare(&v, &v, &MetricId::TUNABLE);
         assert_eq!(report.average(), 1.0);
         assert!(report.is_qualified(0.15));
     }
@@ -171,7 +140,7 @@ mod tests {
     fn ten_percent_off_is_qualified_at_fifteen_percent() {
         let real = vector(1.0);
         let proxy = vector(1.1);
-        let report = AccuracyReport::compare_default(&real, &proxy);
+        let report = AccuracyReport::compare(&real, &proxy, &MetricId::TUNABLE);
         assert!(
             report.is_qualified(0.15),
             "worst {:?}",
@@ -185,11 +154,10 @@ mod tests {
         let real = vector(1.0);
         let mut proxy = vector(1.0);
         proxy.disk_io_bw_mbps = real.disk_io_bw_mbps * 2.0;
-        let report = AccuracyReport::compare_default(&real, &proxy);
+        let report = AccuracyReport::compare(&real, &proxy, &MetricId::TUNABLE);
         let (worst, acc) = report.worst_metric().unwrap();
         assert_eq!(worst, MetricId::DiskIoBandwidth);
         assert_eq!(acc, 0.0);
-        assert_eq!(report.worst(), 0.0);
     }
 
     #[test]
@@ -198,7 +166,7 @@ mod tests {
         let mut proxy = vector(1.0);
         proxy.ipc = real.ipc * 0.5;
         proxy.l2_hit_ratio = real.l2_hit_ratio * 0.99;
-        let report = AccuracyReport::compare_default(&real, &proxy);
+        let report = AccuracyReport::compare(&real, &proxy, &MetricId::TUNABLE);
         let violations = report.exceeding(0.15);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].0, MetricId::Ipc);

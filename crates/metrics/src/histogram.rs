@@ -35,7 +35,7 @@ pub const LATENCY_BUCKET_BOUNDS_NS: [u64; 13] = [
 ];
 
 /// Number of buckets, including the overflow bucket.
-pub const LATENCY_BUCKETS: usize = LATENCY_BUCKET_BOUNDS_NS.len() + 1;
+pub(crate) const LATENCY_BUCKETS: usize = LATENCY_BUCKET_BOUNDS_NS.len() + 1;
 
 /// A fixed-bucket latency histogram with lock-free recording.
 #[derive(Debug, Default)]
@@ -65,18 +65,6 @@ impl LatencyHistogram {
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Zeroes every counter.  Not atomic with respect to concurrent
-    /// recorders: an observation racing the reset may be partially kept.
-    /// Callers that need an exact window (the kernel profiler's
-    /// reset-then-measure flows) reset while no recording is in flight.
-    pub fn reset(&self) {
-        for bucket in &self.buckets {
-            bucket.store(0, Ordering::Relaxed);
-        }
-        self.sum_ns.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the counters.

@@ -44,7 +44,7 @@ impl InstructionMix {
     }
 
     /// The all-zero mix.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Self {
             integer: 0.0,
             floating_point: 0.0,
@@ -80,25 +80,6 @@ impl InstructionMix {
     pub fn data_movement(&self) -> f64 {
         self.load + self.store
     }
-
-    /// Weighted blend of two mixes: `self * (1 - t) + other * t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is outside `[0, 1]`.
-    pub fn blend(&self, other: &InstructionMix, t: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&t),
-            "blend factor must be within [0, 1]"
-        );
-        Self {
-            integer: self.integer * (1.0 - t) + other.integer * t,
-            floating_point: self.floating_point * (1.0 - t) + other.floating_point * t,
-            load: self.load * (1.0 - t) + other.load * t,
-            store: self.store * (1.0 - t) + other.store * t,
-            branch: self.branch * (1.0 - t) + other.branch * t,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -130,23 +111,5 @@ mod tests {
             branch: 0.5,
         };
         assert!((mix.normalized().total() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn blend_endpoints() {
-        let a = InstructionMix::from_counts(10, 0, 0, 0, 0);
-        let b = InstructionMix::from_counts(0, 10, 0, 0, 0);
-        assert_eq!(a.blend(&b, 0.0), a);
-        assert_eq!(a.blend(&b, 1.0), b);
-        let mid = a.blend(&b, 0.5);
-        assert!((mid.integer - 0.5).abs() < 1e-12);
-        assert!((mid.floating_point - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "within [0, 1]")]
-    fn blend_rejects_out_of_range_factor() {
-        let a = InstructionMix::zero();
-        let _ = a.blend(&a, 2.0);
     }
 }

@@ -72,7 +72,7 @@ impl JsonScalar {
 
 /// Escapes a string for inclusion in a JSON document (quotes not
 /// included).
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

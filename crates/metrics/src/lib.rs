@@ -27,10 +27,10 @@
 
 pub mod accuracy;
 pub mod histogram;
-pub mod instruction_mix;
+pub(crate) mod instruction_mix;
 pub mod json;
 pub mod table;
-pub mod vector;
+pub(crate) mod vector;
 
 pub use accuracy::{accuracy, AccuracyReport};
 pub use histogram::{HistogramSnapshot, LatencyHistogram, LATENCY_BUCKET_BOUNDS_NS};

@@ -68,24 +68,8 @@ impl MetricId {
         MetricId::DiskIoBandwidth,
     ];
 
-    /// The micro-architectural metrics of Table V.
-    pub const MICRO_ARCHITECTURAL: [MetricId; 12] = [
-        MetricId::Ipc,
-        MetricId::Mips,
-        MetricId::IntegerRatio,
-        MetricId::FloatRatio,
-        MetricId::LoadRatio,
-        MetricId::StoreRatio,
-        MetricId::BranchRatio,
-        MetricId::BranchMissRatio,
-        MetricId::L1iHitRatio,
-        MetricId::L1dHitRatio,
-        MetricId::L2HitRatio,
-        MetricId::L3HitRatio,
-    ];
-
     /// The system-level metrics of Table V (plus runtime).
-    pub const SYSTEM: [MetricId; 5] = [
+    pub(crate) const SYSTEM: [MetricId; 5] = [
         MetricId::Runtime,
         MetricId::MemReadBandwidth,
         MetricId::MemWriteBandwidth,
@@ -182,24 +166,6 @@ pub struct MetricVector {
 }
 
 impl MetricVector {
-    /// An all-zero vector, useful as an accumulator identity.
-    pub fn zero() -> Self {
-        Self {
-            runtime_secs: 0.0,
-            ipc: 0.0,
-            mips: 0.0,
-            instruction_mix: InstructionMix::zero(),
-            branch_miss_ratio: 0.0,
-            l1i_hit_ratio: 0.0,
-            l1d_hit_ratio: 0.0,
-            l2_hit_ratio: 0.0,
-            l3_hit_ratio: 0.0,
-            mem_read_bw_mbps: 0.0,
-            mem_write_bw_mbps: 0.0,
-            disk_io_bw_mbps: 0.0,
-        }
-    }
-
     /// Total memory bandwidth (read + write) in MB/s.
     pub fn mem_total_bw_mbps(&self) -> f64 {
         self.mem_read_bw_mbps + self.mem_write_bw_mbps
@@ -237,54 +203,6 @@ impl MetricVector {
     /// zero in downstream accuracy computations).
     pub fn is_finite(&self) -> bool {
         self.iter().all(|(_, v)| v.is_finite())
-    }
-
-    /// Element-wise arithmetic mean of a non-empty slice of vectors, used
-    /// to average per-node or per-run measurements exactly as the paper
-    /// averages measurements across slave nodes and repeated runs.
-    ///
-    /// Returns `None` for an empty slice.
-    pub fn mean(vectors: &[MetricVector]) -> Option<MetricVector> {
-        if vectors.is_empty() {
-            return None;
-        }
-        let n = vectors.len() as f64;
-        let mut acc = MetricVector::zero();
-        for v in vectors {
-            acc.runtime_secs += v.runtime_secs;
-            acc.ipc += v.ipc;
-            acc.mips += v.mips;
-            acc.instruction_mix.integer += v.instruction_mix.integer;
-            acc.instruction_mix.floating_point += v.instruction_mix.floating_point;
-            acc.instruction_mix.load += v.instruction_mix.load;
-            acc.instruction_mix.store += v.instruction_mix.store;
-            acc.instruction_mix.branch += v.instruction_mix.branch;
-            acc.branch_miss_ratio += v.branch_miss_ratio;
-            acc.l1i_hit_ratio += v.l1i_hit_ratio;
-            acc.l1d_hit_ratio += v.l1d_hit_ratio;
-            acc.l2_hit_ratio += v.l2_hit_ratio;
-            acc.l3_hit_ratio += v.l3_hit_ratio;
-            acc.mem_read_bw_mbps += v.mem_read_bw_mbps;
-            acc.mem_write_bw_mbps += v.mem_write_bw_mbps;
-            acc.disk_io_bw_mbps += v.disk_io_bw_mbps;
-        }
-        acc.runtime_secs /= n;
-        acc.ipc /= n;
-        acc.mips /= n;
-        acc.instruction_mix.integer /= n;
-        acc.instruction_mix.floating_point /= n;
-        acc.instruction_mix.load /= n;
-        acc.instruction_mix.store /= n;
-        acc.instruction_mix.branch /= n;
-        acc.branch_miss_ratio /= n;
-        acc.l1i_hit_ratio /= n;
-        acc.l1d_hit_ratio /= n;
-        acc.l2_hit_ratio /= n;
-        acc.l3_hit_ratio /= n;
-        acc.mem_read_bw_mbps /= n;
-        acc.mem_write_bw_mbps /= n;
-        acc.disk_io_bw_mbps /= n;
-        Some(acc)
     }
 }
 
@@ -325,16 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn metric_groups_partition_all() {
-        let mut all: Vec<MetricId> = MetricId::MICRO_ARCHITECTURAL.to_vec();
-        all.extend_from_slice(&MetricId::SYSTEM);
-        all.sort();
-        let mut expected = MetricId::ALL.to_vec();
-        expected.sort();
-        assert_eq!(all, expected);
-    }
-
-    #[test]
     fn tunable_excludes_runtime() {
         assert!(!MetricId::TUNABLE.contains(&MetricId::Runtime));
         assert_eq!(MetricId::TUNABLE.len(), MetricId::ALL.len() - 1);
@@ -346,34 +254,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), MetricId::ALL.len());
-    }
-
-    #[test]
-    fn mean_of_identical_vectors_is_identity() {
-        let v = sample();
-        let m = MetricVector::mean(&[v, v, v]).unwrap();
-        for id in MetricId::ALL {
-            assert!((m.get(id) - v.get(id)).abs() < 1e-9, "{id}");
-        }
-    }
-
-    #[test]
-    fn mean_of_empty_slice_is_none() {
-        assert!(MetricVector::mean(&[]).is_none());
-    }
-
-    #[test]
-    fn mean_averages_runtime() {
-        let mut a = sample();
-        let mut b = sample();
-        a.runtime_secs = 10.0;
-        b.runtime_secs = 30.0;
-        let m = MetricVector::mean(&[a, b]).unwrap();
-        assert!((m.runtime_secs - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_vector_is_finite() {
-        assert!(MetricVector::zero().is_finite());
     }
 }

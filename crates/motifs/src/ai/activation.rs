@@ -1,17 +1,17 @@
 //! Activation functions: sigmoid, tanh, softmax and ReLU.
 
 /// Sigmoid applied element-wise.
-pub fn sigmoid(input: &[f32]) -> Vec<f32> {
+pub(crate) fn sigmoid(input: &[f32]) -> Vec<f32> {
     input.iter().map(|&x| 1.0 / (1.0 + (-x).exp())).collect()
 }
 
 /// Tanh applied element-wise.
-pub fn tanh(input: &[f32]) -> Vec<f32> {
+pub(crate) fn tanh(input: &[f32]) -> Vec<f32> {
     input.iter().map(|&x| x.tanh()).collect()
 }
 
 /// ReLU applied element-wise.
-pub fn relu(input: &[f32]) -> Vec<f32> {
+pub(crate) fn relu(input: &[f32]) -> Vec<f32> {
     input.iter().map(|&x| x.max(0.0)).collect()
 }
 
@@ -21,7 +21,7 @@ pub fn relu(input: &[f32]) -> Vec<f32> {
 ///
 /// Panics if the input length is not a multiple of `classes` or `classes`
 /// is zero.
-pub fn softmax(input: &[f32], classes: usize) -> Vec<f32> {
+pub(crate) fn softmax(input: &[f32], classes: usize) -> Vec<f32> {
     assert!(classes > 0, "classes must be non-zero");
     assert!(
         input.len() % classes == 0,

@@ -2,23 +2,14 @@
 //!
 //! The implementation honours the knobs the paper lists for its AI motif
 //! implementations: input geometry (height, width, channels), filter
-//! geometry, stride and padding algorithm (`SAME` / `VALID`), and the data
-//! storage format is whatever layout the input tensor carries.
+//! geometry and stride, with TensorFlow's `SAME` padding; the data storage
+//! format is whatever layout the input tensor carries.
 
 use dmpb_datagen::image::{ImageTensor, TensorShape};
 
-/// Padding algorithm, matching TensorFlow's naming.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Padding {
-    /// No padding: the output shrinks by `filter - 1`.
-    Valid,
-    /// Zero padding so that (with stride 1) the output keeps the input size.
-    Same,
-}
-
 /// Convolution filter bank: `[out_channels, in_channels, k, k]` row-major.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FilterBank {
+pub(crate) struct FilterBank {
     /// Number of output channels.
     pub out_channels: usize,
     /// Number of input channels.
@@ -35,7 +26,12 @@ impl FilterBank {
     /// # Panics
     ///
     /// Panics if the weight count does not match the declared shape.
-    pub fn new(out_channels: usize, in_channels: usize, kernel: usize, weights: Vec<f32>) -> Self {
+    pub(crate) fn new(
+        out_channels: usize,
+        in_channels: usize,
+        kernel: usize,
+        weights: Vec<f32>,
+    ) -> Self {
         assert_eq!(
             weights.len(),
             out_channels * in_channels * kernel * kernel,
@@ -50,7 +46,12 @@ impl FilterBank {
     }
 
     /// A bank with every weight equal to `value` (useful in tests).
-    pub fn constant(out_channels: usize, in_channels: usize, kernel: usize, value: f32) -> Self {
+    pub(crate) fn constant(
+        out_channels: usize,
+        in_channels: usize,
+        kernel: usize,
+        value: f32,
+    ) -> Self {
         Self::new(
             out_channels,
             in_channels,
@@ -64,18 +65,14 @@ impl FilterBank {
     }
 }
 
-/// Direct 2-D convolution.
+/// Direct 2-D convolution with `SAME` padding: zero padding so that (with
+/// stride 1 and an odd kernel) the output keeps the input size.
 ///
 /// # Panics
 ///
 /// Panics if the filter's input channel count does not match the tensor, or
 /// if the stride is zero.
-pub fn conv2d(
-    input: &ImageTensor,
-    filters: &FilterBank,
-    stride: usize,
-    padding: Padding,
-) -> ImageTensor {
+pub(crate) fn conv2d(input: &ImageTensor, filters: &FilterBank, stride: usize) -> ImageTensor {
     assert!(stride > 0, "stride must be non-zero");
     let shape = input.shape();
     assert_eq!(
@@ -83,10 +80,7 @@ pub fn conv2d(
         "input channel mismatch"
     );
 
-    let pad = match padding {
-        Padding::Valid => 0,
-        Padding::Same => (filters.kernel - 1) / 2,
-    };
+    let pad = (filters.kernel - 1) / 2;
     let out_h = (shape.height + 2 * pad - filters.kernel) / stride + 1;
     let out_w = (shape.width + 2 * pad - filters.kernel) / stride + 1;
     let out_shape = TensorShape::new(shape.batch, filters.out_channels, out_h, out_w);
@@ -139,50 +133,22 @@ mod tests {
     }
 
     #[test]
-    fn valid_convolution_output_shape() {
-        let out = conv2d(
-            &ones_input(5, 5),
-            &FilterBank::constant(2, 1, 3, 1.0),
-            1,
-            Padding::Valid,
-        );
-        assert_eq!(out.shape().height, 3);
-        assert_eq!(out.shape().width, 3);
-        assert_eq!(out.shape().channels, 2);
-    }
-
-    #[test]
     fn same_padding_keeps_spatial_size_with_stride_one() {
-        let out = conv2d(
-            &ones_input(6, 6),
-            &FilterBank::constant(1, 1, 3, 1.0),
-            1,
-            Padding::Same,
-        );
+        let out = conv2d(&ones_input(6, 6), &FilterBank::constant(1, 1, 3, 1.0), 1);
         assert_eq!(out.shape().height, 6);
         assert_eq!(out.shape().width, 6);
     }
 
     #[test]
     fn constant_filter_on_ones_sums_window() {
-        let out = conv2d(
-            &ones_input(5, 5),
-            &FilterBank::constant(1, 1, 3, 1.0),
-            1,
-            Padding::Valid,
-        );
+        let out = conv2d(&ones_input(5, 5), &FilterBank::constant(1, 1, 3, 1.0), 1);
         // Interior windows see 9 ones.
         assert_eq!(out.get(0, 0, 1, 1), 9.0);
     }
 
     #[test]
     fn same_padding_border_sums_partial_window() {
-        let out = conv2d(
-            &ones_input(5, 5),
-            &FilterBank::constant(1, 1, 3, 1.0),
-            1,
-            Padding::Same,
-        );
+        let out = conv2d(&ones_input(5, 5), &FilterBank::constant(1, 1, 3, 1.0), 1);
         assert_eq!(
             out.get(0, 0, 0, 0),
             4.0,
@@ -193,12 +159,7 @@ mod tests {
 
     #[test]
     fn stride_two_halves_the_output() {
-        let out = conv2d(
-            &ones_input(8, 8),
-            &FilterBank::constant(1, 1, 2, 1.0),
-            2,
-            Padding::Valid,
-        );
+        let out = conv2d(&ones_input(8, 8), &FilterBank::constant(1, 1, 2, 1.0), 2);
         assert_eq!(out.shape().height, 4);
         assert_eq!(out.shape().width, 4);
     }
@@ -213,18 +174,13 @@ mod tests {
             }
         }
         let filters = FilterBank::new(1, 1, 1, vec![1.0]);
-        let out = conv2d(&input, &filters, 1, Padding::Valid);
+        let out = conv2d(&input, &filters, 1);
         assert_eq!(out.as_slice(), input.as_slice());
     }
 
     #[test]
     #[should_panic(expected = "channel mismatch")]
     fn mismatched_channels_are_rejected() {
-        let _ = conv2d(
-            &ones_input(4, 4),
-            &FilterBank::constant(1, 3, 3, 1.0),
-            1,
-            Padding::Valid,
-        );
+        let _ = conv2d(&ones_input(4, 4), &FilterBank::constant(1, 3, 3, 1.0), 1);
     }
 }

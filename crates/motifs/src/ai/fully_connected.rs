@@ -9,7 +9,7 @@
 /// # Panics
 ///
 /// Panics if the shapes are inconsistent.
-pub fn fully_connected(
+pub(crate) fn fully_connected(
     input: &[f32],
     weights: &[f32],
     bias: &[f32],
@@ -44,7 +44,7 @@ pub fn fully_connected(
 /// # Panics
 ///
 /// Panics if the lengths differ.
-pub fn element_wise_multiply(a: &[f32], b: &[f32]) -> Vec<f32> {
+pub(crate) fn element_wise_multiply(a: &[f32], b: &[f32]) -> Vec<f32> {
     assert_eq!(a.len(), b.len(), "tensor length mismatch");
     a.iter().zip(b).map(|(x, y)| x * y).collect()
 }

@@ -8,10 +8,10 @@
 //! and padding considerations the paper calls out for its AI motif
 //! implementations.
 
-pub mod activation;
-pub mod convolution;
-pub mod fully_connected;
+pub(crate) mod activation;
+pub(crate) mod convolution;
+pub(crate) mod fully_connected;
 pub mod normalization;
-pub mod pooling;
-pub mod reduce;
-pub mod regularization;
+pub(crate) mod pooling;
+pub(crate) mod reduce;
+pub(crate) mod regularization;

@@ -44,7 +44,7 @@ pub fn batch_norm(input: &ImageTensor, gamma: &[f32], beta: &[f32], epsilon: f32
 
 /// Cosine normalisation of a flat vector: divides by its L2 norm (returns
 /// the input unchanged when the norm is zero).
-pub fn cosine_normalize(input: &[f32]) -> Vec<f32> {
+pub(crate) fn cosine_normalize(input: &[f32]) -> Vec<f32> {
     let norm: f32 = input.iter().map(|v| v * v).sum::<f32>().sqrt();
     if norm == 0.0 {
         return input.to_vec();

@@ -4,7 +4,7 @@ use dmpb_datagen::image::{ImageTensor, TensorShape};
 
 /// Pooling mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolMode {
+pub(crate) enum PoolMode {
     /// Take the maximum of each window.
     Max,
     /// Take the mean of each window.
@@ -16,7 +16,12 @@ pub enum PoolMode {
 /// # Panics
 ///
 /// Panics if the window is zero-sized or larger than the input.
-pub fn pool2d(input: &ImageTensor, window: usize, stride: usize, mode: PoolMode) -> ImageTensor {
+pub(crate) fn pool2d(
+    input: &ImageTensor,
+    window: usize,
+    stride: usize,
+    mode: PoolMode,
+) -> ImageTensor {
     let shape = input.shape();
     assert!(
         window > 0 && stride > 0,
@@ -59,12 +64,12 @@ pub fn pool2d(input: &ImageTensor, window: usize, stride: usize, mode: PoolMode)
 }
 
 /// Max pooling (convenience wrapper).
-pub fn max_pool2d(input: &ImageTensor, window: usize, stride: usize) -> ImageTensor {
+pub(crate) fn max_pool2d(input: &ImageTensor, window: usize, stride: usize) -> ImageTensor {
     pool2d(input, window, stride, PoolMode::Max)
 }
 
 /// Average pooling (convenience wrapper).
-pub fn average_pool2d(input: &ImageTensor, window: usize, stride: usize) -> ImageTensor {
+pub(crate) fn average_pool2d(input: &ImageTensor, window: usize, stride: usize) -> ImageTensor {
     pool2d(input, window, stride, PoolMode::Average)
 }
 

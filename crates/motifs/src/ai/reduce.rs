@@ -1,12 +1,12 @@
 //! Reduction motifs: reduce-sum and reduce-max.
 
 /// Sum of all elements.
-pub fn reduce_sum(input: &[f32]) -> f32 {
+pub(crate) fn reduce_sum(input: &[f32]) -> f32 {
     input.iter().sum()
 }
 
 /// Maximum element; `None` for an empty slice.
-pub fn reduce_max(input: &[f32]) -> Option<f32> {
+pub(crate) fn reduce_max(input: &[f32]) -> Option<f32> {
     input.iter().cloned().reduce(f32::max)
 }
 

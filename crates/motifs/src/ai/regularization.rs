@@ -11,7 +11,7 @@ use dmpb_datagen::rng::seeded_rng;
 /// # Panics
 ///
 /// Panics if `rate` is outside `[0, 1)`.
-pub fn dropout(input: &[f32], rate: f64, seed: u64) -> Vec<f32> {
+pub(crate) fn dropout(input: &[f32], rate: f64, seed: u64) -> Vec<f32> {
     assert!(
         (0.0..1.0).contains(&rate),
         "dropout rate must be within [0, 1)"

@@ -10,13 +10,13 @@ use dmpb_datagen::graph::CsrGraph;
 /// # Panics
 ///
 /// Panics if an endpoint is out of range.
-pub fn construct(num_vertices: usize, edges: &[(u32, u32)]) -> CsrGraph {
+pub(crate) fn construct(num_vertices: usize, edges: &[(u32, u32)]) -> CsrGraph {
     CsrGraph::from_edges(num_vertices, edges)
 }
 
 /// Breadth-first traversal from `start` (the "graph traversal" motif),
 /// returning the number of reachable vertices.
-pub fn traversal_reach(graph: &CsrGraph, start: usize) -> usize {
+pub(crate) fn traversal_reach(graph: &CsrGraph, start: usize) -> usize {
     graph.bfs(start).len()
 }
 

@@ -8,7 +8,7 @@
 //! dependency.
 
 /// Computes the MD5 digest of `data`.
-pub fn md5(data: &[u8]) -> [u8; 16] {
+pub(crate) fn md5(data: &[u8]) -> [u8; 16] {
     // Per-round shift amounts.
     const S: [u32; 64] = [
         7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 5, 9, 14, 20, 5, 9, 14, 20, 5,
@@ -84,7 +84,7 @@ pub fn md5(data: &[u8]) -> [u8; 16] {
 /// XOR keystream "encryption": a xorshift keystream derived from `key` is
 /// XORed over the data.  Applying it twice with the same key restores the
 /// plaintext.
-pub fn xor_encrypt(data: &[u8], key: u64) -> Vec<u8> {
+pub(crate) fn xor_encrypt(data: &[u8], key: u64) -> Vec<u8> {
     let mut state = key | 1;
     data.iter()
         .map(|&b| {

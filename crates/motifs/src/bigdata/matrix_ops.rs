@@ -12,13 +12,13 @@ use dmpb_datagen::matrix::DenseMatrix;
 /// # Panics
 ///
 /// Panics if the vectors have different lengths.
-pub fn euclidean_distance_squared(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn euclidean_distance_squared(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "vector length mismatch");
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 /// Euclidean distance between two dense vectors.
-pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
     euclidean_distance_squared(a, b).sqrt()
 }
 
@@ -28,7 +28,7 @@ pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if the vectors have different lengths.
-pub fn cosine_distance(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn cosine_distance(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "vector length mismatch");
     let dot: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
     let na: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
@@ -45,7 +45,7 @@ pub fn cosine_distance(a: &[f64], b: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if the inner dimensions do not match.
-pub fn matrix_multiply(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+pub(crate) fn matrix_multiply(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     a.multiply(b)
 }
 

@@ -6,13 +6,13 @@
 //! distance and matrix computation, and basic statistics.  Each module
 //! exposes plain functions that really compute, plus tests; the analytic
 //! cost models that map these kernels onto the performance model live in
-//! [`crate::cost`].
+//! `crate::cost`.
 
-pub mod graph_ops;
-pub mod logic;
-pub mod matrix_ops;
-pub mod sampling;
+pub(crate) mod graph_ops;
+pub(crate) mod logic;
+pub(crate) mod matrix_ops;
+pub(crate) mod sampling;
 pub mod set_ops;
 pub mod sort;
-pub mod statistics;
+pub(crate) mod statistics;
 pub mod transform;

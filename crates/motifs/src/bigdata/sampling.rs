@@ -14,7 +14,7 @@ use dmpb_datagen::rng::seeded_rng;
 /// # Panics
 ///
 /// Panics if `fraction` is outside `[0, 1]`.
-pub fn random_sample_indices(count: usize, fraction: f64, seed: u64) -> Vec<usize> {
+pub(crate) fn random_sample_indices(count: usize, fraction: f64, seed: u64) -> Vec<usize> {
     assert!(
         (0.0..=1.0).contains(&fraction),
         "fraction must be within [0, 1]"
@@ -28,7 +28,7 @@ pub fn random_sample_indices(count: usize, fraction: f64, seed: u64) -> Vec<usiz
 /// # Panics
 ///
 /// Panics if `interval` is zero.
-pub fn interval_sample_indices(count: usize, interval: usize, offset: usize) -> Vec<usize> {
+pub(crate) fn interval_sample_indices(count: usize, interval: usize, offset: usize) -> Vec<usize> {
     assert!(interval > 0, "interval must be non-zero");
     (offset..count).step_by(interval).collect()
 }

@@ -3,7 +3,7 @@
 //! Both kernels sort gensort-style 10-byte keys.
 
 /// A gensort sort key.
-pub type Key = [u8; 10];
+pub(crate) type Key = [u8; 10];
 
 /// In-place quick sort (Hoare partitioning, median-of-three pivot).
 pub fn quick_sort(keys: &mut [Key]) {
@@ -83,7 +83,7 @@ pub fn merge_sort(keys: &[Key]) -> Vec<Key> {
 /// # Panics
 ///
 /// Panics if `out.len() != left.len() + right.len()`.
-pub fn merge_runs(left: &[Key], right: &[Key], out: &mut [Key]) {
+pub(crate) fn merge_runs(left: &[Key], right: &[Key], out: &mut [Key]) {
     assert_eq!(
         out.len(),
         left.len() + right.len(),

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 /// Count and mean of a stream of values (one pass).
 ///
 /// Returns `(0, 0.0)` for an empty slice.
-pub fn count_average(values: &[f64]) -> (usize, f64) {
+pub(crate) fn count_average(values: &[f64]) -> (usize, f64) {
     if values.is_empty() {
         return (0, 0.0);
     }
@@ -19,7 +19,7 @@ pub fn count_average(values: &[f64]) -> (usize, f64) {
 }
 
 /// Per-key counts of a stream of keys (the "cluster count" of Table III).
-pub fn group_counts(keys: &[u32]) -> HashMap<u32, usize> {
+pub(crate) fn group_counts(keys: &[u32]) -> HashMap<u32, usize> {
     let mut counts = HashMap::new();
     for &k in keys {
         *counts.entry(k).or_insert(0) += 1;
@@ -28,7 +28,7 @@ pub fn group_counts(keys: &[u32]) -> HashMap<u32, usize> {
 }
 
 /// Per-key empirical probabilities (counts normalised by the total).
-pub fn probabilities(keys: &[u32]) -> HashMap<u32, f64> {
+pub(crate) fn probabilities(keys: &[u32]) -> HashMap<u32, f64> {
     let counts = group_counts(keys);
     let total: usize = counts.values().sum();
     counts
@@ -38,7 +38,7 @@ pub fn probabilities(keys: &[u32]) -> HashMap<u32, f64> {
 }
 
 /// Minimum and maximum of a stream of values; `None` for an empty slice.
-pub fn min_max(values: &[f64]) -> Option<(f64, f64)> {
+pub(crate) fn min_max(values: &[f64]) -> Option<(f64, f64)> {
     if values.is_empty() {
         return None;
     }

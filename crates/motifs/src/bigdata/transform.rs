@@ -8,7 +8,7 @@
 use std::f64::consts::PI;
 
 /// A complex number as a `(re, im)` pair.
-pub type Complex = (f64, f64);
+pub(crate) type Complex = (f64, f64);
 
 fn complex_mul(a: Complex, b: Complex) -> Complex {
     (a.0 * b.0 - a.1 * b.1, a.0 * b.1 + a.1 * b.0)
@@ -20,7 +20,7 @@ fn complex_mul(a: Complex, b: Complex) -> Complex {
 /// # Panics
 ///
 /// Panics if the length is not a power of two.
-pub fn fft_in_place(data: &mut [Complex], inverse: bool) {
+pub(crate) fn fft_in_place(data: &mut [Complex], inverse: bool) {
     let n = data.len();
     if n <= 1 {
         return;
@@ -80,7 +80,7 @@ pub fn ifft_real(spectrum: &[Complex]) -> Vec<f64> {
 }
 
 /// DCT-II of a real signal (unnormalised).
-pub fn dct2(signal: &[f64]) -> Vec<f64> {
+pub(crate) fn dct2(signal: &[f64]) -> Vec<f64> {
     let n = signal.len();
     (0..n)
         .map(|k| {

@@ -266,7 +266,7 @@ impl MotifKind {
     /// over `data` with configuration `config`.
     ///
     /// Dispatches through the [`crate::kernel::MotifRegistry`], whose
-    /// kernels delegate to the analytic models in [`crate::cost`].
+    /// kernels delegate to the analytic models in `crate::cost`.
     pub fn cost_profile(&self, data: &DataDescriptor, config: &MotifConfig) -> OpProfile {
         crate::kernel::MotifRegistry::global()
             .kernel(*self)

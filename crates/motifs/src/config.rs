@@ -80,7 +80,7 @@ impl MotifConfig {
     }
 
     /// Elements in one image/feature-map of the configured geometry.
-    pub fn spatial_elements(&self) -> u64 {
+    pub(crate) fn spatial_elements(&self) -> u64 {
         u64::from(self.height) * u64::from(self.width) * u64::from(self.channels)
     }
 }

@@ -64,7 +64,11 @@ const SPARSE_INDEX_BRANCH_OVERHEAD: f64 = 12.0;
 
 /// Produces the operation profile of running `kind` over `data` with
 /// configuration `config`.
-pub fn cost_profile(kind: MotifKind, data: &DataDescriptor, config: &MotifConfig) -> OpProfile {
+pub(crate) fn cost_profile(
+    kind: MotifKind,
+    data: &DataDescriptor,
+    config: &MotifConfig,
+) -> OpProfile {
     if kind.is_ai() {
         ai_cost_profile(kind, data, config)
     } else {

@@ -49,7 +49,7 @@ use dmpb_datagen::text::{TextGenerator, KEY_LEN};
 use dmpb_datagen::DataDescriptor;
 use dmpb_perfmodel::profile::OpProfile;
 
-use crate::ai::convolution::{conv2d, FilterBank, Padding};
+use crate::ai::convolution::{conv2d, FilterBank};
 use crate::ai::pooling::{average_pool2d, max_pool2d};
 use crate::ai::{activation, fully_connected, normalization, reduce, regularization};
 use crate::bigdata::{
@@ -128,14 +128,8 @@ pub struct GranuleCtx {
 
 impl GranuleCtx {
     /// Number of elements in the granule.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.end - self.start
-    }
-
-    /// Whether the granule is empty (never, for granules the default
-    /// [`MotifKernel::execute`] constructs).
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
     }
 }
 
@@ -211,7 +205,7 @@ pub trait MotifKernel: Send + Sync + std::fmt::Debug {
 
     /// The analytic operation profile of running this motif over `data`
     /// with configuration `config` (the "measure without materialising"
-    /// face; see [`crate::cost`]).
+    /// face; see `crate::cost`).
     fn cost_profile(&self, data: &DataDescriptor, config: &MotifConfig) -> OpProfile {
         cost::cost_profile(self.kind(), data, config)
     }
@@ -429,7 +423,7 @@ fn granule_tensor(g: &GranuleCtx) -> dmpb_datagen::image::ImageTensor {
 kernel!(ConvolutionKernel, Convolution, |g| {
     let filters = FilterBank::constant(4, 3, 3, 0.1);
     hash_f64s(
-        conv2d(&granule_tensor(g), &filters, 1, Padding::Same)
+        conv2d(&granule_tensor(g), &filters, 1)
             .as_slice()
             .iter()
             .map(|&v| f64::from(v)),
@@ -628,22 +622,6 @@ impl MotifRegistry {
     pub fn kernel(&self, kind: MotifKind) -> &'static dyn MotifKernel {
         self.kernels[kind as usize]
     }
-
-    /// All registered kernels, in [`MotifKind::ALL`] order.
-    pub fn kernels(&self) -> impl Iterator<Item = &'static dyn MotifKernel> + '_ {
-        self.kernels.iter().copied()
-    }
-
-    /// Number of registered kernels.
-    pub fn len(&self) -> usize {
-        self.kernels.len()
-    }
-
-    /// Whether the registry is empty (it never is; `clippy` insists the
-    /// method exists alongside [`MotifRegistry::len`]).
-    pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -658,8 +636,7 @@ mod tests {
     #[test]
     fn registry_covers_every_motif_kind() {
         let registry = MotifRegistry::global();
-        assert_eq!(registry.len(), MotifKind::ALL.len());
-        assert!(!registry.is_empty());
+        assert_eq!(registry.kernels.len(), MotifKind::ALL.len());
         for kind in MotifKind::ALL {
             assert_eq!(
                 registry.kernel(kind).kind(),
@@ -672,7 +649,8 @@ mod tests {
     #[test]
     fn every_kernel_executes_deterministically() {
         let registry = MotifRegistry::global();
-        for kernel in registry.kernels() {
+        for kind in MotifKind::ALL {
+            let kernel = registry.kernel(kind);
             let a = kernel.execute(128, 3);
             let b = kernel.execute(128, 3);
             assert_eq!(a, b, "{} is not deterministic", kernel.kind());

@@ -40,10 +40,10 @@
 
 pub mod ai;
 pub mod bigdata;
-pub mod class;
-pub mod config;
-pub mod cost;
-pub mod kernel;
+pub(crate) mod class;
+pub(crate) mod config;
+pub(crate) mod cost;
+pub(crate) mod kernel;
 pub mod profile;
 pub mod topology;
 pub mod workers;

@@ -69,7 +69,7 @@ impl Default for KernelProfiler {
 
 impl KernelProfiler {
     /// A disabled profiler with zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             enabled: AtomicBool::new(false),
             slots: std::array::from_fn(|_| KindSlot::default()),
@@ -90,23 +90,10 @@ impl KernelProfiler {
     }
 
     /// Turns sampling on or off, returning the previous state so a
-    /// scoped caller can restore it.  Counters are kept either way;
-    /// pair with [`KernelProfiler::reset`] for a clean measurement
-    /// window.
+    /// scoped caller can restore it.  Counters are kept either way; a
+    /// measurement window is the difference of two snapshots.
     pub fn set_enabled(&self, enabled: bool) -> bool {
         self.enabled.swap(enabled, Ordering::Relaxed)
-    }
-
-    /// Zeroes every counter (enablement is untouched).  Concurrent
-    /// recorders may slip an observation past a racing reset; callers
-    /// reset between executions, not during one.
-    pub fn reset(&self) {
-        for slot in &self.slots {
-            slot.invocations.store(0, Ordering::Relaxed);
-            slot.elements.store(0, Ordering::Relaxed);
-            slot.ns.store(0, Ordering::Relaxed);
-            slot.latency.reset();
-        }
     }
 
     /// Records one kernel execution (one DAG edge).  Callers check
@@ -174,19 +161,14 @@ impl KernelProfile {
     }
 
     /// Total recorded execution time in nanoseconds.
-    pub fn total_ns(&self) -> u64 {
+    pub(crate) fn total_ns(&self) -> u64 {
         self.kinds.iter().map(|e| e.ns).sum()
-    }
-
-    /// The counters for one kind.
-    pub fn entry(&self, kind: MotifKind) -> &KernelProfileEntry {
-        &self.kinds[kind as usize]
     }
 
     /// Invoked kinds ordered by cumulative time, hottest first (ties
     /// break on invocations, then [`MotifKind::ALL`] order, so the
     /// ranking is deterministic).
-    pub fn hottest(&self) -> Vec<&KernelProfileEntry> {
+    pub(crate) fn hottest(&self) -> Vec<&KernelProfileEntry> {
         let mut hot: Vec<&KernelProfileEntry> =
             self.kinds.iter().filter(|e| e.invocations > 0).collect();
         hot.sort_by(|a, b| (b.ns, b.invocations, a.kind).cmp(&(a.ns, a.invocations, b.kind)));
@@ -258,13 +240,13 @@ mod tests {
         p.record(MotifKind::QuickSort, 200, Duration::from_micros(70));
         p.record(MotifKind::Fft, 64, Duration::from_micros(5));
         let profile = p.snapshot();
-        let qs = profile.entry(MotifKind::QuickSort);
+        let qs = &profile.kinds[MotifKind::QuickSort as usize];
         assert_eq!(qs.invocations, 2);
         assert_eq!(qs.elements, 300);
         assert_eq!(qs.ns, 120_000);
         assert_eq!(qs.latency.count, 2);
-        assert_eq!(profile.entry(MotifKind::Fft).invocations, 1);
-        assert_eq!(profile.entry(MotifKind::MergeSort).invocations, 0);
+        assert_eq!(profile.kinds[MotifKind::Fft as usize].invocations, 1);
+        assert_eq!(profile.kinds[MotifKind::MergeSort as usize].invocations, 0);
         assert_eq!(profile.total_invocations(), 3);
         assert_eq!(profile.total_elements(), 364);
     }
@@ -282,18 +264,6 @@ mod tests {
             kinds,
             vec![MotifKind::QuickSort, MotifKind::Fft, MotifKind::MinMax]
         );
-    }
-
-    #[test]
-    fn reset_zeroes_everything_but_keeps_enablement() {
-        let p = KernelProfiler::new();
-        p.set_enabled(true);
-        p.record(MotifKind::Relu, 10, Duration::from_micros(1));
-        p.reset();
-        assert!(p.enabled());
-        let profile = p.snapshot();
-        assert_eq!(profile.total_invocations(), 0);
-        assert_eq!(profile.entry(MotifKind::Relu).latency.count, 0);
     }
 
     #[test]

@@ -171,7 +171,7 @@ impl DagPlan {
     }
 
     /// Largest out-degree over all nodes (≥ 2 means the plan forks).
-    pub fn max_out_degree(&self) -> usize {
+    pub(crate) fn max_out_degree(&self) -> usize {
         self.degree(|e| e.from)
     }
 

@@ -9,7 +9,7 @@
 //! sample stand in for the full run — the same idea as sampled simulation,
 //! applied to a synthetic stream whose locality matches the kernel.
 //!
-//! A stream is drawn in line-granular runs ([`AddressStream::next_run`]):
+//! A stream is drawn in line-granular runs (`AddressStream::next_run`):
 //! each call returns an address and how many of the following accesses
 //! fall in its cache line, computed from the pattern rather than by
 //! walking them, so the engine sends one access per run through the
@@ -38,25 +38,6 @@ pub enum AccessPattern {
     PointerChase,
 }
 
-impl AccessPattern {
-    /// Returns true if consecutive accesses are independent enough for the
-    /// processor to overlap their latency (everything except pointer
-    /// chasing).
-    pub fn allows_mlp(&self) -> bool {
-        !matches!(self, AccessPattern::PointerChase)
-    }
-
-    /// Short name used in debug output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AccessPattern::Sequential => "sequential",
-            AccessPattern::Strided { .. } => "strided",
-            AccessPattern::Random => "random",
-            AccessPattern::PointerChase => "pointer-chase",
-        }
-    }
-}
-
 /// Number of consecutive same-object (same cache line) accesses a random
 /// or pointer-chasing walk performs before moving to the next object.
 /// Real object accesses read several fields of the object they land on,
@@ -80,7 +61,7 @@ const FIELDS_PER_OBJECT: u32 = 3;
 /// The sequential and strided cursor is kept reduced modulo the working
 /// set, so `%` runs only when an access passes the end.
 #[derive(Debug)]
-pub struct AddressStream {
+pub(crate) struct AddressStream {
     pattern: AccessPattern,
     base: u64,
     working_set_bytes: u64,
@@ -98,7 +79,12 @@ impl AddressStream {
     /// # Panics
     ///
     /// Panics if the working set is zero.
-    pub fn new(pattern: AccessPattern, base: u64, working_set_bytes: u64, seed: u64) -> Self {
+    pub(crate) fn new(
+        pattern: AccessPattern,
+        base: u64,
+        working_set_bytes: u64,
+        seed: u64,
+    ) -> Self {
         assert!(working_set_bytes > 0, "working set must be non-zero");
         Self {
             pattern,
@@ -111,11 +97,6 @@ impl AddressStream {
         }
     }
 
-    /// The pattern this stream follows.
-    pub fn pattern(&self) -> AccessPattern {
-        self.pattern
-    }
-
     /// Produces the next sample address and how many accesses, counting
     /// it and at most `max` in all, fall in its `line_bytes`-byte line in
     /// a row.  The stream advances past all of them.
@@ -123,7 +104,7 @@ impl AddressStream {
     /// # Panics
     ///
     /// Panics if `max` is zero or `line_bytes` is not a power of two.
-    pub fn next_run(&mut self, max: usize, line_bytes: u64) -> (u64, usize) {
+    pub(crate) fn next_run(&mut self, max: usize, line_bytes: u64) -> (u64, usize) {
         assert!(max > 0, "a run holds at least one access");
         assert!(
             line_bytes.is_power_of_two(),
@@ -260,13 +241,6 @@ mod tests {
         let mut a = AddressStream::new(AccessPattern::Random, 0, 1 << 20, 42);
         let mut b = AddressStream::new(AccessPattern::Random, 0, 1 << 20, 42);
         assert_eq!(a.take(100), b.take(100));
-    }
-
-    #[test]
-    fn pointer_chase_denies_mlp() {
-        assert!(!AccessPattern::PointerChase.allows_mlp());
-        assert!(AccessPattern::Sequential.allows_mlp());
-        assert!(AccessPattern::Random.allows_mlp());
     }
 
     #[test]

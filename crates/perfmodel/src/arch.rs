@@ -145,7 +145,7 @@ impl ArchProfile {
     }
 
     /// Total physical cores in one node.
-    pub fn cores_per_node(&self) -> u32 {
+    pub(crate) fn cores_per_node(&self) -> u32 {
         self.cores_per_socket * self.sockets
     }
 }

@@ -35,7 +35,7 @@ impl TwoBitCounter {
 
 /// Running prediction statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BranchStats {
+pub(crate) struct BranchStats {
     /// Number of predicted branches.
     pub predictions: u64,
     /// Number of mispredictions.
@@ -44,7 +44,7 @@ pub struct BranchStats {
 
 impl BranchStats {
     /// Misprediction ratio; 0.0 when no branches were predicted.
-    pub fn miss_ratio(&self) -> f64 {
+    pub(crate) fn miss_ratio(&self) -> f64 {
         if self.predictions == 0 {
             0.0
         } else {
@@ -56,7 +56,7 @@ impl BranchStats {
 /// A gshare predictor: global history XORed with the PC indexes a table of
 /// two-bit counters.
 #[derive(Debug, Clone)]
-pub struct GsharePredictor {
+pub(crate) struct GsharePredictor {
     table: Vec<TwoBitCounter>,
     mask: u64,
     history: u64,
@@ -66,13 +66,13 @@ pub struct GsharePredictor {
 
 impl GsharePredictor {
     /// Creates a predictor from an architecture's branch configuration.
-    pub fn from_config(config: BranchPredictorConfig) -> Self {
+    pub(crate) fn from_config(config: BranchPredictorConfig) -> Self {
         Self::new(config.gshare_bits, config.history_bits)
     }
 
     /// Creates a predictor with `2^index_bits` counters and
     /// `history_bits` bits of global history.
-    pub fn new(index_bits: u32, history_bits: u32) -> Self {
+    pub(crate) fn new(index_bits: u32, history_bits: u32) -> Self {
         let size = 1usize << index_bits;
         Self {
             table: vec![TwoBitCounter::new(); size],
@@ -85,7 +85,7 @@ impl GsharePredictor {
 
     /// Predicts and then trains on the actual outcome, returning whether
     /// the prediction was correct.
-    pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
+    pub(crate) fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
         let idx = (((pc >> 2) ^ self.history) & self.mask) as usize;
         let predicted = self.table[idx].predict();
         self.table[idx].update(taken);
@@ -99,7 +99,7 @@ impl GsharePredictor {
     }
 
     /// Accumulated statistics.
-    pub fn stats(&self) -> BranchStats {
+    pub(crate) fn stats(&self) -> BranchStats {
         self.stats
     }
 }

@@ -1,13 +1,13 @@
 //! Set-associative cache simulation with LRU replacement.
 //!
-//! One [`Cache`] models a single level; [`crate::hierarchy::CacheHierarchy`]
+//! One [`Cache`] models a single level; `crate::hierarchy::CacheHierarchy`
 //! stacks them into the L1I / L1D / L2 / L3 configuration of the modelled
 //! processors.  The simulator is functional (tags only, no data) and
 //! deterministic.
 //!
 //! After any access its line sits at way 0 of its set, where a hit changes
 //! nothing, so a run of accesses to one line is one access followed by
-//! hits that only count: [`Cache::access_repeated`].
+//! hits that only count: `Cache::access_repeated`.
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +50,7 @@ impl CacheConfig {
     }
 
     /// Number of sets.
-    pub fn num_sets(&self) -> u64 {
+    pub(crate) fn num_sets(&self) -> u64 {
         self.size_bytes / (self.line_bytes * self.associativity as u64)
     }
 }
@@ -81,7 +81,7 @@ impl CacheStats {
 
     /// Hit ratio; defined as 1.0 when there were no accesses (an untouched
     /// cache should not drag an accuracy average down).
-    pub fn hit_ratio(&self) -> f64 {
+    pub(crate) fn hit_ratio(&self) -> f64 {
         let total = self.accesses();
         if total == 0 {
             1.0
@@ -113,7 +113,6 @@ const EMPTY: u32 = u32::MAX;
 /// beyond it panics instead of aliasing another line.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    config: CacheConfig,
     ways: usize,
     num_sets: u64,
     line_shift: u32,
@@ -131,7 +130,6 @@ impl Cache {
         let ways = config.associativity as usize;
         let lines = usize::try_from(num_sets).expect("set count fits in usize") * ways;
         Self {
-            config,
             ways,
             num_sets,
             line_shift: config.line_bytes.trailing_zeros(),
@@ -143,18 +141,13 @@ impl Cache {
         }
     }
 
-    /// The cache geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
 
     /// Resets statistics but keeps cache contents.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
 
@@ -198,7 +191,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if `times` is zero, or as [`Cache::access`] does.
-    pub fn access_repeated(&mut self, address: u64, times: u64) -> AccessOutcome {
+    pub(crate) fn access_repeated(&mut self, address: u64, times: u64) -> AccessOutcome {
         assert!(times > 0, "at least one access");
         let outcome = self.access(address);
         self.stats.hits += times - 1;

@@ -10,8 +10,8 @@
 //! A run has two halves: [`ExecutionEngine::run`] is
 //! `derive(&simulate(profile), profile, threads)`.
 //!
-//! * [`ExecutionEngine::simulate`] drives the two simulators and returns a
-//!   [`SimOutcome`]: the four cache hit ratios, the fraction of data
+//! * `ExecutionEngine::simulate` drives the two simulators and returns a
+//!   `SimOutcome`: the four cache hit ratios, the fraction of data
 //!   accesses served by main memory, and the branch misprediction ratio.
 //!   Each simulator reads only its own key, built from the profile: the
 //!   cache hierarchy a `HierarchyInputs` (code footprint and, per sampled
@@ -19,7 +19,7 @@
 //!   branch predictor a `BranchInputs` (the branch behaviour's bits, or
 //!   nothing for a branch-free profile).  The thread count and the
 //!   instruction mix never reach a simulator.
-//! * [`ExecutionEngine::derive`] is the analytic rest: the pipeline model,
+//! * `ExecutionEngine::derive` is the analytic rest: the pipeline model,
 //!   the Amdahl runtime over `threads`, the bandwidth ceiling and disk I/O.
 //!
 //! The split is what lets [`crate::memo::SimMemo`] reuse a simulation for
@@ -36,7 +36,7 @@
 //!   The simulation replays the misses into L2 and L3 in the order one
 //!   shared hierarchy would see them: warm-up fetch misses, warm-up data
 //!   accesses, a statistics reset, measured fetch misses, measured data
-//!   accesses.  [`ExecutionEngine::simulate`] builds its trace inline; the
+//!   accesses.  `ExecutionEngine::simulate` builds its trace inline; the
 //!   memo keeps one per footprint.
 //! * **Data accesses go in line-granular runs.**  Each stream hands out an
 //!   address plus the number of following accesses in its line (see
@@ -139,7 +139,7 @@ fn pattern_mlp(pattern: AccessPattern) -> f64 {
 /// The cache hierarchy's share of a [`SimOutcome`]: steady-state hit
 /// ratios and the fraction of data accesses served by main memory.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HierarchyOutcome {
+pub(crate) struct HierarchyOutcome {
     /// L1 instruction-cache hit ratio.
     pub l1i_hit: f64,
     /// L1 data-cache hit ratio.
@@ -155,7 +155,7 @@ pub struct HierarchyOutcome {
 /// Everything the simulators measured for one profile; the input of
 /// [`ExecutionEngine::derive`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimOutcome {
+pub(crate) struct SimOutcome {
     /// What the cache-hierarchy simulation measured.
     pub hierarchy: HierarchyOutcome,
     /// Misprediction ratio of the sampled branch stream (0 for a
@@ -210,8 +210,8 @@ pub(crate) struct BranchInputs {
 /// The shared measurement instrument of the reproduction.
 #[derive(Debug, Clone)]
 pub struct ExecutionEngine {
-    arch: ArchProfile,
-    config: EngineConfig,
+    pub(crate) arch: ArchProfile,
+    pub(crate) config: EngineConfig,
 }
 
 impl ExecutionEngine {
@@ -221,16 +221,6 @@ impl ExecutionEngine {
             arch,
             config: EngineConfig::default(),
         }
-    }
-
-    /// Creates an engine with explicit sampling configuration.
-    pub fn with_config(arch: ArchProfile, config: EngineConfig) -> Self {
-        Self { arch, config }
-    }
-
-    /// The architecture this engine models.
-    pub fn arch(&self) -> &ArchProfile {
-        &self.arch
     }
 
     /// Measures `profile` when executed with `threads` worker tasks on one
@@ -244,7 +234,7 @@ impl ExecutionEngine {
     }
 
     /// Runs the cache-hierarchy and branch simulations of `profile`.
-    pub fn simulate(&self, profile: &OpProfile) -> SimOutcome {
+    pub(crate) fn simulate(&self, profile: &OpProfile) -> SimOutcome {
         let inputs = self.hierarchy_inputs(profile);
         let fetches = self.fetch_trace(inputs.code_footprint_bytes);
         SimOutcome {
@@ -262,7 +252,12 @@ impl ExecutionEngine {
     /// # Panics
     ///
     /// Panics if `threads` is zero.
-    pub fn derive(&self, sim: &SimOutcome, profile: &OpProfile, threads: u32) -> MetricVector {
+    pub(crate) fn derive(
+        &self,
+        sim: &SimOutcome,
+        profile: &OpProfile,
+        threads: u32,
+    ) -> MetricVector {
         assert!(threads > 0, "at least one thread is required");
         let arch = &self.arch;
         let HierarchyOutcome {
@@ -765,7 +760,8 @@ mod tests {
                     for _ in 0..*n / 200 + usize::from(slice < *n % 200) {
                         total += 1;
                         served += u64::from(
-                            hierarchy.access_data(stream.next_address()) == ServedBy::Memory,
+                            hierarchy.access_data_repeated(stream.next_address(), 1)
+                                == ServedBy::Memory,
                         );
                     }
                 }
@@ -844,15 +840,15 @@ mod tests {
             } else {
                 ArchProfile::haswell_e5_2620_v3()
             };
-            let engine = ExecutionEngine::with_config(
+            let engine = ExecutionEngine {
                 arch,
-                EngineConfig {
+                config: EngineConfig {
                     sample_data_accesses: 0,
                     sample_instruction_fetches: rng.gen_range(0..4_000),
                     sample_branches: 0,
                     ..EngineConfig::default()
                 },
-            );
+            };
             let inputs = random_inputs(&mut rng);
             let fetches = engine.fetch_trace(inputs.code_footprint_bytes);
             proptest::prop_assert_eq!(

@@ -13,7 +13,7 @@ use crate::cache::{AccessOutcome, Cache, CacheStats};
 
 /// Which cache level served an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServedBy {
+pub(crate) enum ServedBy {
     /// Hit in the L1 data cache.
     L1,
     /// Hit in the unified L2.
@@ -27,7 +27,7 @@ pub enum ServedBy {
 /// The L1D, L2 and L3 of one core, with an entry point at L2 for the
 /// misses of an L1I simulated apart.
 #[derive(Debug, Clone)]
-pub struct CacheHierarchy {
+pub(crate) struct CacheHierarchy {
     l1d: Cache,
     l2: Cache,
     l3: Cache,
@@ -35,7 +35,7 @@ pub struct CacheHierarchy {
 
 impl CacheHierarchy {
     /// Builds the hierarchy described by an architecture profile.
-    pub fn for_arch(arch: &ArchProfile) -> Self {
+    pub(crate) fn for_arch(arch: &ArchProfile) -> Self {
         Self {
             l1d: Cache::new(arch.l1d),
             l2: Cache::new(arch.l2),
@@ -43,14 +43,9 @@ impl CacheHierarchy {
         }
     }
 
-    /// Performs a data access (load or store) at `address`.
-    pub fn access_data(&mut self, address: u64) -> ServedBy {
-        self.access_data_repeated(address, 1)
-    }
-
     /// Performs `times` data accesses in a row to the line of `address`
     /// and reports where the first was served; the others hit the L1D.
-    pub fn access_data_repeated(&mut self, address: u64, times: u64) -> ServedBy {
+    pub(crate) fn access_data_repeated(&mut self, address: u64, times: u64) -> ServedBy {
         if self.l1d.access_repeated(address, times) == AccessOutcome::Hit {
             return ServedBy::L1;
         }
@@ -59,7 +54,7 @@ impl CacheHierarchy {
 
     /// Looks up an access that missed a first-level cache (the L1D, or an
     /// L1I simulated apart) in L2, then L3.
-    pub fn forward_l1_miss(&mut self, address: u64) -> ServedBy {
+    pub(crate) fn forward_l1_miss(&mut self, address: u64) -> ServedBy {
         if self.l2.access(address) == AccessOutcome::Hit {
             return ServedBy::L2;
         }
@@ -71,24 +66,24 @@ impl CacheHierarchy {
 
     /// Clears all statistics while keeping cache contents, so that a
     /// warm-up pass does not distort steady-state hit ratios.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.l1d.reset_stats();
         self.l2.reset_stats();
         self.l3.reset_stats();
     }
 
     /// Statistics of the L1 data cache.
-    pub fn l1d_stats(&self) -> CacheStats {
+    pub(crate) fn l1d_stats(&self) -> CacheStats {
         self.l1d.stats()
     }
 
     /// Statistics of the L2 cache (accesses that missed in either L1).
-    pub fn l2_stats(&self) -> CacheStats {
+    pub(crate) fn l2_stats(&self) -> CacheStats {
         self.l2.stats()
     }
 
     /// Statistics of the L3 cache (accesses that missed in L2).
-    pub fn l3_stats(&self) -> CacheStats {
+    pub(crate) fn l3_stats(&self) -> CacheStats {
         self.l3.stats()
     }
 }
@@ -107,7 +102,7 @@ mod tests {
         // 16 KB working set fits comfortably in the 32 KB L1D.
         for _ in 0..4 {
             for i in 0..(16 * 1024 / 64) {
-                h.access_data(i * 64);
+                h.access_data_repeated(i * 64, 1);
             }
         }
         assert!(
@@ -123,7 +118,7 @@ mod tests {
         // 128 KB working set: too big for the 32 KB L1D, fits in 256 KB L2.
         for _ in 0..4 {
             for i in 0..(128 * 1024 / 64) {
-                h.access_data(i * 64);
+                h.access_data_repeated(i * 64, 1);
             }
         }
         assert!(
@@ -143,7 +138,7 @@ mod tests {
         let mut h = hierarchy();
         // 64 MB streaming working set blows through the 12 MB L3.
         for i in 0..(64 * 1024 * 1024 / 64) {
-            h.access_data(i * 64);
+            h.access_data_repeated(i * 64, 1);
         }
         assert!(
             h.l3_stats().hit_ratio() < 0.2,
@@ -159,12 +154,12 @@ mod tests {
         assert_eq!(h.forward_l1_miss(0x400_000), ServedBy::Memory);
         assert_eq!(h.l1d_stats().accesses(), 0);
         assert_eq!(
-            h.access_data(0x400_000),
+            h.access_data_repeated(0x400_000, 1),
             ServedBy::L2,
             "L2 holds the fetched line"
         );
         for _ in 0..10 {
-            assert_eq!(h.access_data(0x400_000), ServedBy::L1);
+            assert_eq!(h.access_data_repeated(0x400_000, 1), ServedBy::L1);
         }
         assert_eq!(h.l1d_stats().misses, 1);
         assert_eq!(h.l2_stats().accesses(), 2);
@@ -183,15 +178,23 @@ mod tests {
     #[test]
     fn served_by_reports_the_correct_level() {
         let mut h = hierarchy();
-        assert_eq!(h.access_data(0x1234), ServedBy::Memory, "cold miss");
-        assert_eq!(h.access_data(0x1234), ServedBy::L1, "now resident");
+        assert_eq!(
+            h.access_data_repeated(0x1234, 1),
+            ServedBy::Memory,
+            "cold miss"
+        );
+        assert_eq!(
+            h.access_data_repeated(0x1234, 1),
+            ServedBy::L1,
+            "now resident"
+        );
     }
 
     #[test]
     fn l2_only_sees_l1_misses() {
         let mut h = hierarchy();
         for _ in 0..100 {
-            h.access_data(0x40);
+            h.access_data_repeated(0x40, 1);
         }
         assert_eq!(h.l2_stats().accesses(), 1, "only the cold miss reached L2");
     }

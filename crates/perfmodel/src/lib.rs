@@ -13,22 +13,22 @@
 //!
 //! * [`arch`] — [`arch::ArchProfile`] descriptions of the two processors
 //!   and [`arch::NodeConfig`]s of the evaluation clusters;
-//! * [`cache`] / [`hierarchy`] — set-associative LRU caches combined into
+//! * [`cache`] / `hierarchy` — set-associative LRU caches combined into
 //!   the L1D / L2 / L3 hierarchy, which the L1I's misses enter at L2;
-//! * [`branch`] — the gshare branch predictor;
+//! * `branch` — the gshare branch predictor;
 //! * [`access`] — memory access-pattern descriptors and the sampled
 //!   synthetic address streams derived from them;
 //! * [`profile`] — [`profile::OpProfile`], the workload-side interface:
 //!   dynamic instruction counts, memory segments, branch behaviour,
 //!   code footprint and disk I/O volume;
-//! * [`pipeline`] — a CPI model that folds cache and branch penalties into
+//! * `pipeline` — a CPI model that folds cache and branch penalties into
 //!   IPC;
 //! * [`engine`] — [`engine::ExecutionEngine`], which runs an `OpProfile`
 //!   through all of the above and emits a [`dmpb_metrics::MetricVector`]:
 //!   `run` is `derive(&simulate(profile), profile, threads)`, the cache
 //!   and branch simulations followed by the analytic pipeline, runtime
 //!   and bandwidth arithmetic;
-//! * [`memo`] — [`memo::SimMemo`], one tune's memo of simulation
+//! * `memo` — [`memo::SimMemo`], one tune's memo of simulation
 //!   outcomes keyed on exactly the inputs each simulator reads, so a
 //!   probe that repeats an earlier probe's cache or branch inputs only
 //!   redoes the arithmetic, with bit-identical results, plus the L1I
@@ -43,12 +43,12 @@
 
 pub mod access;
 pub mod arch;
-pub mod branch;
+pub(crate) mod branch;
 pub mod cache;
 pub mod engine;
-pub mod hierarchy;
-pub mod memo;
-pub mod pipeline;
+pub(crate) mod hierarchy;
+pub(crate) mod memo;
+pub(crate) mod pipeline;
 pub mod profile;
 
 pub use arch::{ArchProfile, NodeConfig};

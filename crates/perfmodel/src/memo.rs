@@ -139,15 +139,15 @@ mod tests {
     /// Short sample streams: the memo must be exact at any sampling size,
     /// and short streams keep the property test fast.
     fn engine() -> ExecutionEngine {
-        ExecutionEngine::with_config(
-            ArchProfile::westmere_e5645(),
-            EngineConfig {
+        ExecutionEngine {
+            arch: ArchProfile::westmere_e5645(),
+            config: EngineConfig {
                 sample_data_accesses: 3_000,
                 sample_instruction_fetches: 1_500,
                 sample_branches: 1_500,
                 ..EngineConfig::default()
             },
-        )
+        }
     }
 
     fn base_profile() -> OpProfile {
@@ -252,7 +252,7 @@ mod tests {
         let mut branch_free = base_profile();
         branch_free.instructions.branch = 0;
         assert_eq!(run_checked(&mut memo, &branch_free, 12), (1, 0));
-        branch_free.branch = BranchBehavior::data_dependent();
+        branch_free.branch = BranchBehavior::new(0.5, 0.15);
         assert_eq!(run_checked(&mut memo, &branch_free, 12), (0, 1));
     }
 

@@ -24,7 +24,7 @@ use dmpb_metrics::InstructionMix;
 /// Cache hit ratios observed for one run, plus how much memory-level
 /// parallelism the access patterns allow.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheBehavior {
+pub(crate) struct CacheBehavior {
     /// L1 instruction-cache hit ratio.
     pub l1i_hit: f64,
     /// L1 data-cache hit ratio.
@@ -40,7 +40,7 @@ pub struct CacheBehavior {
 
 /// Result of the pipeline model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PipelineEstimate {
+pub(crate) struct PipelineEstimate {
     /// Estimated cycles per instruction.
     pub cpi: f64,
     /// Estimated instructions per cycle (capped by the issue width).
@@ -55,7 +55,7 @@ const FP_EXTRA_CPI: f64 = 0.25;
 const FETCH_STALL_FACTOR: f64 = 0.35;
 
 /// Computes the CPI / IPC estimate for one run.
-pub fn estimate(
+pub(crate) fn estimate(
     arch: &ArchProfile,
     mix: &InstructionMix,
     cache: &CacheBehavior,

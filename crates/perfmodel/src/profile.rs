@@ -36,12 +36,12 @@ pub struct InstructionCounts {
 
 impl InstructionCounts {
     /// Total dynamic instruction count.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.integer + self.floating_point + self.load + self.store + self.branch
     }
 
     /// Number of memory (load + store) instructions.
-    pub fn memory(&self) -> u64 {
+    pub(crate) fn memory(&self) -> u64 {
         self.load + self.store
     }
 
@@ -57,7 +57,7 @@ impl InstructionCounts {
     }
 
     /// Element-wise sum.
-    pub fn add(&self, other: &InstructionCounts) -> InstructionCounts {
+    pub(crate) fn add(&self, other: &InstructionCounts) -> InstructionCounts {
         InstructionCounts {
             integer: self.integer + other.integer,
             floating_point: self.floating_point + other.floating_point,
@@ -72,7 +72,7 @@ impl InstructionCounts {
     /// # Panics
     ///
     /// Panics if `factor` is negative or not finite.
-    pub fn scaled(&self, factor: f64) -> InstructionCounts {
+    pub(crate) fn scaled(&self, factor: f64) -> InstructionCounts {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "scale factor must be non-negative"
@@ -100,7 +100,7 @@ pub struct MemorySegment {
 }
 
 impl MemorySegment {
-    /// Creates a segment.  Weights are relative: [`OpProfile::normalized_segments`]
+    /// Creates a segment.  Weights are relative: `OpProfile::normalized_segments`
     /// rescales them to sum to one, so any non-negative value is accepted.
     ///
     /// # Panics
@@ -154,17 +154,12 @@ impl BranchBehavior {
     }
 
     /// Loop-dominated, highly predictable branch behaviour.
-    pub fn loop_dominated() -> Self {
+    pub(crate) fn loop_dominated() -> Self {
         Self::new(0.9, 0.97)
     }
 
-    /// Data-dependent, hard-to-predict branch behaviour.
-    pub fn data_dependent() -> Self {
-        Self::new(0.5, 0.15)
-    }
-
     /// Weighted blend of two behaviours (`t` = weight of `other`).
-    pub fn blend(&self, other: &BranchBehavior, t: f64) -> Self {
+    pub(crate) fn blend(&self, other: &BranchBehavior, t: f64) -> Self {
         let t = t.clamp(0.0, 1.0);
         Self {
             taken_ratio: self.taken_ratio * (1.0 - t) + other.taken_ratio * t,
@@ -181,7 +176,7 @@ pub struct OpProfile {
     /// Dynamic instruction counts.
     pub instructions: InstructionCounts,
     /// Memory regions and how they are accessed.  Weights should sum to
-    /// (approximately) one; [`OpProfile::normalized_segments`] renormalises.
+    /// (approximately) one; `OpProfile::normalized_segments` renormalises.
     pub memory_segments: Vec<MemorySegment>,
     /// Branch behaviour.
     pub branch: BranchBehavior,
@@ -224,7 +219,7 @@ impl OpProfile {
 
     /// Memory segments with weights renormalised to sum to one.  Returns an
     /// empty vector if the profile has no segments.
-    pub fn normalized_segments(&self) -> Vec<MemorySegment> {
+    pub(crate) fn normalized_segments(&self) -> Vec<MemorySegment> {
         let total: f64 = self.memory_segments.iter().map(|s| s.access_weight).sum();
         if total <= 0.0 {
             return Vec::new();
@@ -461,7 +456,7 @@ mod tests {
     #[test]
     fn branch_behavior_blend_is_bounded() {
         let a = BranchBehavior::loop_dominated();
-        let b = BranchBehavior::data_dependent();
+        let b = BranchBehavior::new(0.5, 0.15);
         let m = a.blend(&b, 0.5);
         assert!(m.regularity < a.regularity && m.regularity > b.regularity);
     }

@@ -43,8 +43,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod spec;
-pub mod synth;
+pub(crate) mod spec;
+pub(crate) mod synth;
 
 pub use spec::{PopulationSpec, SizeDistribution, TopologyFamily, DEFAULT_POPULATION_SEED};
 pub use synth::{BudgetedPopulation, PopulationGenerator, SyntheticWorkload};

@@ -39,7 +39,7 @@ pub enum TopologyFamily {
 
 impl TopologyFamily {
     /// All families in a stable order (`Mixed` last).
-    pub const ALL: [TopologyFamily; 5] = [
+    pub(crate) const ALL: [TopologyFamily; 5] = [
         TopologyFamily::Chain,
         TopologyFamily::ForkJoin,
         TopologyFamily::Diamond,
@@ -113,14 +113,14 @@ pub enum SizeDistribution {
 
 impl SizeDistribution {
     /// All distributions in a stable order.
-    pub const ALL: [SizeDistribution; 3] = [
+    pub(crate) const ALL: [SizeDistribution; 3] = [
         SizeDistribution::Uniform,
         SizeDistribution::LogUniform,
         SizeDistribution::Zipf,
     ];
 
     /// Kebab-case name used by the scenario DSL.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             SizeDistribution::Uniform => "uniform",
             SizeDistribution::LogUniform => "log-uniform",
@@ -131,7 +131,7 @@ impl SizeDistribution {
     /// Draws one volume in `[min, max]` bytes.  `exponent` only matters
     /// for [`SizeDistribution::Zipf`] (an exponent of exactly 1 falls
     /// back to log-uniform, its analytic limit).
-    pub fn sample_bytes(&self, rng: &mut StdRng, min: u64, max: u64, exponent: f64) -> u64 {
+    pub(crate) fn sample_bytes(&self, rng: &mut StdRng, min: u64, max: u64, exponent: f64) -> u64 {
         if min >= max {
             return min;
         }

@@ -58,20 +58,10 @@ impl SyntheticWorkload {
         self.rank
     }
 
-    /// The derived seed the member was synthesized from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The concrete topology family the member's DAG was built from
     /// (`mixed` specs resolve to one of the four concrete families).
     pub fn family(&self) -> TopologyFamily {
         self.family
-    }
-
-    /// Whether the member draws from the AI motif pool.
-    pub fn is_ai(&self) -> bool {
-        self.ai
     }
 
     /// Stable display label, e.g. `"synthetic-fork-join-0007"`.
@@ -79,16 +69,11 @@ impl SyntheticWorkload {
         &self.label
     }
 
-    /// The sampled distinct kernel mix, in sampling order.
-    pub fn kernel_mix(&self) -> &[MotifKind] {
-        &self.motifs
-    }
-
     /// Coarse *modeled* cost of running this member's campaign cell, in
     /// seconds.  A pure function of the synthesized description — never
     /// wall-clock — so duration-budget truncation is identical across
     /// machines, worker counts and store warmth.
-    pub fn modeled_cost_secs(&self) -> f64 {
+    pub(crate) fn modeled_cost_secs(&self) -> f64 {
         let kernels = self.motifs.len() as f64;
         let gib = self.input.total_bytes as f64 / (1u64 << 30) as f64;
         let mut cost = 0.5 + 0.12 * kernels + 0.04 * gib;
@@ -235,13 +220,6 @@ pub struct BudgetedPopulation {
     pub modeled_cost_secs: f64,
 }
 
-impl BudgetedPopulation {
-    /// Whether the budget dropped any member.
-    pub fn truncated(&self) -> bool {
-        self.members.len() < self.full_size as usize
-    }
-}
-
 impl PopulationGenerator {
     /// Creates a generator, validating the spec.
     pub fn new(spec: PopulationSpec) -> Result<Self, String> {
@@ -267,7 +245,7 @@ impl PopulationGenerator {
 
     /// Synthesizes the population and applies the spec's duration
     /// budget: members are kept in rank order while their summed
-    /// [modeled cost](SyntheticWorkload::modeled_cost_secs) fits the
+    /// modeled cost fits the
     /// budget.  At least one member is always kept, so a budgeted
     /// campaign never silently degenerates to zero cells.
     pub fn generate_budgeted(&self) -> BudgetedPopulation {
@@ -633,10 +611,10 @@ mod tests {
         for member in generator(spec()).generate() {
             let total: f64 = member.motif_composition().iter().map(|(_, w)| w).sum();
             assert!((total - 1.0).abs() < 1e-9, "{}", member.label());
-            for motif in member.kernel_mix() {
-                assert_eq!(motif.is_ai(), member.is_ai(), "{}", member.label());
+            for motif in &member.motifs {
+                assert_eq!(motif.is_ai(), member.ai, "{}", member.label());
             }
-            assert_eq!(member.kind().is_ai(), member.is_ai(), "carrier side");
+            assert_eq!(member.kind().is_ai(), member.ai, "carrier side");
         }
     }
 
@@ -647,14 +625,14 @@ mod tests {
             ..spec()
         })
         .generate();
-        assert!(all_bd.iter().all(|m| !m.is_ai()));
+        assert!(all_bd.iter().all(|m| !m.ai));
         let all_ai = generator(PopulationSpec {
             ai_fraction: 1.0,
             kernels_max: 14,
             ..spec()
         })
         .generate();
-        assert!(all_ai.iter().all(|m| m.is_ai()));
+        assert!(all_ai.iter().all(|m| m.ai));
     }
 
     #[test]
@@ -706,7 +684,7 @@ mod tests {
             ..spec()
         })
         .generate();
-        assert!(members.iter().any(|m| m.is_ai()) || members.iter().any(|m| !m.is_ai()));
+        assert!(members.iter().any(|m| m.ai) || members.iter().any(|m| !m.ai));
         for member in members {
             let m = member.measure(&cluster);
             assert!(m.is_finite(), "{}", member.label());
@@ -723,7 +701,7 @@ mod tests {
             ..spec()
         })
         .generate_budgeted();
-        assert!(budgeted.truncated());
+        assert!(budgeted.members.len() < budgeted.full_size as usize);
         assert!(!budgeted.members.is_empty());
         assert!(budgeted.modeled_cost_secs <= total / 3.0 + 1e-9);
         for (kept, full) in budgeted.members.iter().zip(&unbudgeted) {
@@ -739,13 +717,13 @@ mod tests {
         })
         .generate_budgeted();
         assert_eq!(budgeted.members.len(), 1);
-        assert!(budgeted.truncated());
+        assert!(budgeted.members.len() < budgeted.full_size as usize);
     }
 
     #[test]
     fn no_budget_keeps_the_full_population() {
         let budgeted = generator(spec()).generate_budgeted();
-        assert!(!budgeted.truncated());
+        assert_eq!(budgeted.full_size, spec().size);
         assert_eq!(budgeted.members.len(), spec().size as usize);
     }
 
@@ -759,10 +737,10 @@ mod tests {
         })
         .generate()
         {
-            let k = member.kernel_mix().len() as u32;
-            let pool = if member.is_ai() { 14 } else { 19 };
+            let k = member.motifs.len() as u32;
+            let pool = if member.ai { 14 } else { 19 };
             assert!(k >= 5 && k <= 16.min(pool), "{}: {k}", member.label());
-            let mut distinct = member.kernel_mix().to_vec();
+            let mut distinct = member.motifs.clone();
             distinct.sort_unstable();
             distinct.dedup();
             assert_eq!(distinct.len() as u32, k, "kernels must be distinct");

@@ -11,11 +11,12 @@ use crate::dsl::Scenario;
 
 /// Source of the paper-tables scenario (Table VI + Fig. 4: the eight
 /// proxies on the five-node Westmere cluster with the suite defaults).
-pub const PAPER_TABLES_TOML: &str = include_str!("../../../examples/scenarios/paper_tables.toml");
+pub(crate) const PAPER_TABLES_TOML: &str =
+    include_str!("../../../examples/scenarios/paper_tables.toml");
 
 /// Source of the cross-architecture scenario (Fig. 10: Westmere vs
 /// Haswell, proxies tuned on the five-node cluster).
-pub const CROSS_ARCHITECTURE_TOML: &str =
+pub(crate) const CROSS_ARCHITECTURE_TOML: &str =
     include_str!("../../../examples/scenarios/cross_architecture.toml");
 
 /// Source of the decomposition scenario (Table III: one cell per

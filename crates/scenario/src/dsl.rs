@@ -88,10 +88,10 @@ use dmpb_workloads::{ClusterConfig, WorkloadKind};
 use crate::matrix::CellFilter;
 
 /// Default sample-execution size (`SAMPLE_ELEMENTS`).
-pub const DEFAULT_ELEMENTS: usize = dmpb_core::runner::SAMPLE_ELEMENTS;
+pub(crate) const DEFAULT_ELEMENTS: usize = dmpb_core::runner::SAMPLE_ELEMENTS;
 
 /// Architecture axis value meaning "the cluster's own processor".
-pub const DEFAULT_ARCHITECTURE: &str = "default";
+pub(crate) const DEFAULT_ARCHITECTURE: &str = "default";
 
 /// A validated scenario: the declarative description of one campaign.
 ///
@@ -108,7 +108,7 @@ pub struct Scenario {
     pub workloads: Vec<WorkloadKind>,
     /// Cluster axis: slugs from [`ClusterConfig::NAMES`].
     pub clusters: Vec<String>,
-    /// Architecture-override axis: [`DEFAULT_ARCHITECTURE`] or slugs from
+    /// Architecture-override axis: `DEFAULT_ARCHITECTURE` or slugs from
     /// [`ArchProfile::NAMES`].
     pub architectures: Vec<String>,
     /// Sample-execution sizes (the data-scale axis).
@@ -150,8 +150,8 @@ impl Scenario {
         }
     }
 
-    /// Parses and validates a scenario file.  See the [module
-    /// docs](self) for the grammar.
+    /// Parses and validates a scenario file.  See the `dsl` module docs
+    /// for the grammar.
     pub fn parse(src: &str) -> Result<Scenario, ParseError> {
         let doc = Document::parse(src)?;
         doc.into_scenario()

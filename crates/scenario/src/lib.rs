@@ -5,20 +5,20 @@
 //! BigDataBench line of work positions motif proxies as a scalable
 //! methodology.  This crate turns such experiments into data:
 //!
-//! 1. **A declarative scenario DSL** ([`dsl`]) — a hand-rolled
+//! 1. **A declarative scenario DSL** (`dsl`) — a hand-rolled
 //!    TOML-subset parser (no dependencies, in the `crates/compat` spirit)
 //!    that names axes over the existing registries: workloads
 //!    ([`WorkloadKind`](dmpb_workloads::WorkloadKind)'s `FromStr`),
 //!    clusters ([`ClusterConfig::by_name`](dmpb_workloads::ClusterConfig::by_name)),
 //!    architectures ([`ArchProfile::by_name`](dmpb_perfmodel::arch::ArchProfile::by_name)),
 //!    sample sizes and seeds, plus include/exclude filters.
-//! 2. **Deterministic expansion** ([`matrix`]) — the axes expand to a
+//! 2. **Deterministic expansion** (`matrix`) — the axes expand to a
 //!    cartesian campaign matrix in a fixed order with per-cell seeds
 //!    derived from the base seed and the workload's position in
 //!    [`WorkloadKind::ALL`](dmpb_workloads::WorkloadKind::ALL), so the
 //!    default axes reproduce the paper's eight-proxy suite byte for
 //!    byte.
-//! 3. **A content-addressed result store** ([`store`]) — each cell is
+//! 3. **A content-addressed result store** (`store`) — each cell is
 //!    fingerprinted (workload + stack + full cluster/tuning-cluster
 //!    configuration + scale + seed + [`CODE_MODEL_VERSION`]) with the
 //!    workspace FNV hasher; results persist as JSON lines in a store
@@ -43,10 +43,12 @@
 #![warn(missing_debug_implementations)]
 
 pub mod builtin;
-pub mod dsl;
-pub mod matrix;
+pub(crate) mod dsl;
+#[cfg(test)]
+mod fuzz;
+pub(crate) mod matrix;
 pub mod runner;
-pub mod store;
+pub(crate) mod store;
 
 pub use dsl::{ParseError, Scenario};
 pub use matrix::{CampaignCell, CellFilter, PopulationCell, PopulationPlan};
@@ -54,9 +56,8 @@ pub use runner::{
     CampaignDiff, CampaignError, CampaignReport, CampaignRunner, CellObserver, CellOutcome,
 };
 pub use store::{
-    compact_sharded_store, load_records_recovering, read_records, read_store_meta,
-    read_store_records, segment_path, shard_for, CellResult, CompactionStats, LoadedRecords,
-    PopulationResult, ResultStore, StoreStats, TornTail, DEFAULT_STORE_SHARDS, META_FILE,
+    compact_sharded_store, read_records, read_store_records, segment_path, shard_for, CellResult,
+    CompactionStats, PopulationResult, ResultStore, StoreStats, TornTail, DEFAULT_STORE_SHARDS,
     SIDECAR_FILE,
 };
 

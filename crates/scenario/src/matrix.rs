@@ -44,7 +44,7 @@ pub struct CellFilter {
 
 impl CellFilter {
     /// Whether `cell` satisfies every axis this filter names.
-    pub fn matches(&self, cell: &CampaignCell) -> bool {
+    pub(crate) fn matches(&self, cell: &CampaignCell) -> bool {
         self.workload.map_or(true, |w| w == cell.kind)
             && self
                 .cluster
@@ -152,7 +152,7 @@ impl CampaignCell {
     /// Panics if the cell names an unknown cluster or architecture; cells
     /// produced by [`Scenario::expand`] from a parsed scenario are always
     /// valid.
-    pub fn cluster(&self) -> ClusterConfig {
+    pub(crate) fn cluster(&self) -> ClusterConfig {
         let mut cluster = ClusterConfig::by_name(&self.cluster_name)
             .unwrap_or_else(|| panic!("unknown cluster `{}`", self.cluster_name));
         if self.architecture != DEFAULT_ARCHITECTURE {
@@ -163,7 +163,7 @@ impl CampaignCell {
     }
 
     /// The cluster the cell's proxy is tuned on: the pinned tuning
-    /// cluster if the scenario names one, otherwise [`Self::cluster`].
+    /// cluster if the scenario names one, otherwise `Self::cluster`.
     pub fn tuning_cluster(&self) -> ClusterConfig {
         match &self.tuning_cluster_name {
             Some(name) => ClusterConfig::by_name(name)
@@ -213,7 +213,7 @@ impl CampaignCell {
 impl Scenario {
     /// Expands the scenario into its deterministic campaign matrix.
     ///
-    /// See the [module docs](crate::matrix) for the loop order and
+    /// See the `matrix` module docs for the loop order and
     /// determinism contract.  Cells dropped by the include/exclude
     /// filters do not appear (and do not consume indices).
     pub fn expand(&self) -> Vec<CampaignCell> {
@@ -319,7 +319,7 @@ impl Scenario {
     }
 
     /// Whether the include/exclude filters keep `cell`.
-    pub fn admits(&self, cell: &CampaignCell) -> bool {
+    pub(crate) fn admits(&self, cell: &CampaignCell) -> bool {
         if self.exclude.iter().any(|f| f.matches(cell)) {
             return false;
         }

@@ -168,7 +168,7 @@ impl CampaignReport {
 /// regression rather than noise.  The model is deterministic, so any
 /// drop at all is a real change; the epsilon only absorbs decimal
 /// re-parsing of hand-edited baselines.
-pub const ACCURACY_EPSILON: f64 = 1e-9;
+pub(crate) const ACCURACY_EPSILON: f64 = 1e-9;
 
 /// The outcome of diffing a campaign run against a baseline.
 #[derive(Debug, Clone, Default)]

@@ -226,7 +226,7 @@ impl CellResult {
     }
 
     /// Serializes the result as one flat JSON line.  The inverse of
-    /// [`CellResult::from_line`]; `from_line(to_line(r)) == r` exactly.
+    /// `CellResult::from_line`; `from_line(to_line(r)) == r` exactly.
     pub fn to_line(&self) -> String {
         let mut w = ObjectWriter::new();
         w.field_u64_hex("fingerprint", self.fingerprint);
@@ -264,13 +264,8 @@ impl CellResult {
         w.finish()
     }
 
-    /// A stable digest over the serialized result.
-    pub fn digest(&self) -> u64 {
-        hash_bytes(self.to_line().as_bytes())
-    }
-
     /// Parses a result from its JSON line.
-    pub fn from_line(line: &str) -> Result<CellResult, String> {
+    pub(crate) fn from_line(line: &str) -> Result<CellResult, String> {
         let fields = parse_object(line)?;
         let mut map: HashMap<&str, &JsonScalar> = HashMap::new();
         let mut accuracies = Vec::new();
@@ -391,7 +386,7 @@ pub struct TornTail {
 
 /// The outcome of loading a store file with torn-tail recovery.
 #[derive(Debug)]
-pub struct LoadedRecords {
+pub(crate) struct LoadedRecords {
     /// The successfully parsed records, in file order.
     pub records: Vec<CellResult>,
     /// Byte offset of each record's line start, index-aligned with
@@ -419,7 +414,7 @@ pub struct LoadedRecords {
 /// reported (so [`ResultStore::open`] can truncate it away with a
 /// warning); a malformed line in the *interior* of the file is still a
 /// hard error — that is corruption, not a tear.
-pub fn load_records_recovering(path: &Path) -> Result<LoadedRecords, String> {
+pub(crate) fn load_records_recovering(path: &Path) -> Result<LoadedRecords, String> {
     let file = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut reader = BufReader::new(file);
     // Split into raw byte chunks first so "is this the final line?" is
@@ -525,7 +520,7 @@ impl StoreStats {
     /// were no lookups at all.  An idle store has no hit ratio — gates
     /// must treat the zero-lookup case explicitly instead of reading the
     /// `0.0` that [`StoreStats::hit_ratio`] reports for it.
-    pub fn try_hit_ratio(&self) -> Option<f64> {
+    pub(crate) fn try_hit_ratio(&self) -> Option<f64> {
         let total = self.lookups();
         if total == 0 {
             None
@@ -535,7 +530,7 @@ impl StoreStats {
     }
 
     /// Fraction of lookups served from the store (`0.0` when idle — use
-    /// [`StoreStats::try_hit_ratio`] anywhere a zero-lookup run must not
+    /// `StoreStats::try_hit_ratio` anywhere a zero-lookup run must not
     /// be confused with an all-miss run).
     pub fn hit_ratio(&self) -> f64 {
         self.try_hit_ratio().unwrap_or(0.0)
@@ -552,7 +547,7 @@ pub const SIDECAR_FILE: &str = "index.jsonl";
 
 /// Manifest file name inside a sharded store directory (records the
 /// segment count; written once at creation and never rewritten).
-pub const META_FILE: &str = "store-meta.json";
+pub(crate) const META_FILE: &str = "store-meta.json";
 
 /// Sidecar/manifest format version.
 const STORE_LAYOUT_VERSION: i64 = 1;
@@ -571,7 +566,7 @@ pub fn segment_path(dir: &Path, segment: usize) -> PathBuf {
 }
 
 /// Reads the shard count from a sharded store directory's manifest.
-pub fn read_store_meta(dir: &Path) -> Result<usize, String> {
+pub(crate) fn read_store_meta(dir: &Path) -> Result<usize, String> {
     let path = dir.join(META_FILE);
     let source = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     let fields = parse_object(source.trim()).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -684,7 +679,6 @@ pub struct ResultStore {
     /// Set after the first failed append: the store keeps serving (and
     /// accepting) results in memory but stops touching the sick files.
     persist_disabled: AtomicBool,
-    persist_error: Mutex<Option<String>>,
     recovered_tails: Vec<TornTail>,
     /// Whether `open` was served by the sidecar index (telemetry for the
     /// open-latency bench and the staleness tests).
@@ -705,12 +699,11 @@ impl ResultStore {
 
     /// An unpersisted store with an explicit shard count (≥ 1; `shards =
     /// 1` puts every fingerprint behind one index lock).
-    pub fn in_memory_with_shards(shards: usize) -> Self {
+    pub(crate) fn in_memory_with_shards(shards: usize) -> Self {
         Self {
             shards: (0..shards.max(1)).map(|_| Shard::memory()).collect(),
             path: None,
             persist_disabled: AtomicBool::new(false),
-            persist_error: Mutex::new(None),
             recovered_tails: Vec::new(),
             opened_from_sidecar: false,
             sidecar_stale: AtomicBool::new(false),
@@ -809,7 +802,6 @@ impl ResultStore {
             shards: store_shards,
             path: Some(dir),
             persist_disabled: AtomicBool::new(false),
-            persist_error: Mutex::new(None),
             recovered_tails,
             opened_from_sidecar,
             // A scan-opened store heals its sidecar at the next sync.
@@ -828,28 +820,9 @@ impl ResultStore {
         self.opened_from_sidecar
     }
 
-    /// The first torn tail `open` truncated away, if any backing segment
-    /// had one.
-    pub fn recovered_tail(&self) -> Option<&TornTail> {
-        self.recovered_tails.first()
-    }
-
     /// Every torn tail `open` truncated away, one per affected segment.
     pub fn recovered_tails(&self) -> &[TornTail] {
         &self.recovered_tails
-    }
-
-    /// The first append error, if persistence has degraded to in-memory.
-    pub fn persist_error(&self) -> Option<String> {
-        self.persist_error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// The store directory, if the store persists.
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
     }
 
     /// Looks up a result by fingerprint, counting a hit or miss on the
@@ -1043,10 +1016,6 @@ impl ResultStore {
                 "warning: result store append failed ({message}); \
                  degrading to in-memory for the rest of this process"
             );
-            *self
-                .persist_error
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = Some(message.clone());
         }
         message
     }
@@ -1744,7 +1713,6 @@ mod tests {
             line,
             "re-serialization must be byte-identical"
         );
-        assert_eq!(back.digest(), result.digest());
         assert!(!result.accuracies.is_empty());
         assert_eq!(
             result.accuracy_for(&result.worst_metric),
@@ -1854,7 +1822,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!(
             "dmpb-store-test-{}-{:016x}",
             std::process::id(),
-            result.digest()
+            result.fingerprint
         ));
         let path = dir.join("results");
         let store = ResultStore::open(&path).unwrap();
@@ -1925,7 +1893,7 @@ mod tests {
 
         let store = ResultStore::open(&store_dir).unwrap();
         assert_eq!(store.stats().entries, 1);
-        assert!(store.recovered_tail().is_none());
+        assert!(store.recovered_tails().is_empty());
         let mut second = result.clone();
         second.fingerprint ^= 0xbeef;
         store.insert(second).unwrap();
@@ -1969,7 +1937,6 @@ mod tests {
             shards: vec![shard],
             path: Some(dir.clone()),
             persist_disabled: AtomicBool::new(false),
-            persist_error: Mutex::new(None),
             recovered_tails: Vec::new(),
             opened_from_sidecar: false,
             sidecar_stale: AtomicBool::new(false),
@@ -1981,7 +1948,6 @@ mod tests {
         // The result is still served from memory; the error is recorded.
         assert_eq!(store.lookup(result.fingerprint).unwrap(), result);
         assert_eq!(store.stats().persist_errors, 1);
-        assert!(store.persist_error().is_some());
         // Later inserts and syncs silently stay in memory (degraded, not
         // dead).
         let mut second = result.clone();

@@ -11,38 +11,26 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 /// Largest accepted request body (scenario files are a few KiB).
-pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 /// Largest accepted header block.
-pub const MAX_HEADER_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEADER_BYTES: usize = 16 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// The request method (uppercase, e.g. `GET`).
     pub method: String,
     /// The request path (query strings are not used by this service and
     /// arrive verbatim).
     pub path: String,
-    /// Header `(name, value)` pairs; names are lowercased.
-    pub headers: Vec<(String, String)>,
     /// The request body (empty unless `Content-Length` said otherwise).
     pub body: Vec<u8>,
-}
-
-impl Request {
-    /// First value of a header, by lowercase name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
 }
 
 /// A request that could not be read: the status code to answer with and
 /// a human-readable reason.
 #[derive(Debug)]
-pub struct HttpError {
+pub(crate) struct HttpError {
     /// Response status for the failure (400, 413, …).
     pub status: u16,
     /// Human-readable reason, sent as the response body.
@@ -59,7 +47,7 @@ impl HttpError {
 }
 
 /// Reads one HTTP/1.1 request from the stream.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+pub(crate) fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader
@@ -130,17 +118,12 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
         .read_exact(&mut body)
         .map_err(|e| HttpError::bad_request(format!("reading body: {e}")))?;
 
-    Ok(Request {
-        method,
-        path,
-        headers,
-        body,
-    })
+    Ok(Request { method, path, body })
 }
 
 /// An HTTP response under construction.
 #[derive(Debug)]
-pub struct Response {
+pub(crate) struct Response {
     /// Status code.
     pub status: u16,
     /// Extra `(name, value)` headers beyond the defaults.
@@ -153,7 +136,7 @@ pub struct Response {
 
 impl Response {
     /// A response with a text body.
-    pub fn text(status: u16, body: impl Into<String>) -> Self {
+    pub(crate) fn text(status: u16, body: impl Into<String>) -> Self {
         Self {
             status,
             headers: Vec::new(),
@@ -163,7 +146,7 @@ impl Response {
     }
 
     /// A response with a JSON body.
-    pub fn json(status: u16, body: impl Into<String>) -> Self {
+    pub(crate) fn json(status: u16, body: impl Into<String>) -> Self {
         Self {
             status,
             headers: Vec::new(),
@@ -173,7 +156,7 @@ impl Response {
     }
 
     /// A response with a JSON-lines body (one JSON object per line).
-    pub fn jsonl(status: u16, body: impl Into<String>) -> Self {
+    pub(crate) fn jsonl(status: u16, body: impl Into<String>) -> Self {
         Self {
             status,
             headers: Vec::new(),
@@ -183,13 +166,13 @@ impl Response {
     }
 
     /// Adds a header.
-    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Self {
+    pub(crate) fn with_header(mut self, name: &str, value: impl Into<String>) -> Self {
         self.headers.push((name.to_string(), value.into()));
         self
     }
 
     /// The standard reason phrase for the status.
-    pub fn reason(&self) -> &'static str {
+    pub(crate) fn reason(&self) -> &'static str {
         match self.status {
             200 => "OK",
             202 => "Accepted",
@@ -208,7 +191,7 @@ impl Response {
 
 /// Writes a response and flushes the stream.  Write errors are returned
 /// for logging; the connection is closed either way.
-pub fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
+pub(crate) fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n",
         response.status,
@@ -298,7 +281,6 @@ mod tests {
             assert_eq!(request.method, "POST");
             assert_eq!(request.path, "/echo");
             assert_eq!(request.body, b"hello");
-            assert_eq!(request.header("x-extra"), None);
             write_response(
                 &mut stream,
                 &Response::text(200, "world").with_header("x-cells", "8"),

@@ -41,4 +41,4 @@ pub mod http;
 mod prometheus;
 mod service;
 
-pub use service::{serve, CampaignStatus, ServiceConfig, ServiceHandle, MAX_CONNECTIONS};
+pub use service::{serve, ServiceConfig, ServiceHandle, MAX_CONNECTIONS};

@@ -72,7 +72,7 @@ impl Default for ServiceConfig {
 
 /// Lifecycle of one submitted campaign.
 #[derive(Debug, Clone)]
-pub enum CampaignStatus {
+pub(crate) enum CampaignStatus {
     /// Waiting in the admission queue.
     Queued,
     /// Currently executing.
@@ -610,7 +610,6 @@ workers = 64
         let request = Request {
             method: "POST".to_string(),
             path: "/campaigns".to_string(),
-            headers: Vec::new(),
             body: source.as_bytes().to_vec(),
         };
         let response = submit_campaign(&request, &state);

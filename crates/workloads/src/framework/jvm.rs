@@ -17,7 +17,7 @@ use dmpb_perfmodel::profile::{BranchBehavior, InstructionCounts, MemorySegment, 
 pub const JVM_INSTRUCTIONS_PER_BYTE: f64 = 55.0;
 
 /// Code footprint of the JVM + Hadoop runtime (far beyond any L1I).
-pub const JVM_CODE_FOOTPRINT_BYTES: u64 = 6 * 1024 * 1024;
+pub(crate) const JVM_CODE_FOOTPRINT_BYTES: u64 = 6 * 1024 * 1024;
 
 /// Builds the JVM overhead profile for `processed_bytes` of user data with
 /// the given live-heap working set.

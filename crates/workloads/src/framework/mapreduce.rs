@@ -46,14 +46,14 @@ pub struct JobShape {
 
 impl JobShape {
     /// Per-node share of the input.
-    pub fn input_bytes_per_node(&self, cluster: &ClusterConfig) -> u64 {
+    pub(crate) fn input_bytes_per_node(&self, cluster: &ClusterConfig) -> u64 {
         self.input_bytes / u64::from(cluster.slave_nodes())
     }
 
     /// Per-node disk traffic `(read, write)` caused by the job's data
     /// movement (input read, spill, shuffle materialisation, output
     /// replication), excluding whatever the motifs themselves request.
-    pub fn disk_traffic_per_node(&self, cluster: &ClusterConfig) -> (u64, u64) {
+    pub(crate) fn disk_traffic_per_node(&self, cluster: &ClusterConfig) -> (u64, u64) {
         let input = self.input_bytes_per_node(cluster) as f64;
         let shuffle = input * self.shuffle_ratio;
         let output = input * self.output_ratio;

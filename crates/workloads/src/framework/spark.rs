@@ -37,14 +37,14 @@
 //! * **DAG scheduling.**  The driver schedules one task per partition per
 //!   stage; each launch costs closure deserialisation, shuffle bookkeeping
 //!   and result serialisation on the executor
-//!   ([`TASK_DISPATCH_INSTRUCTIONS`]).  Stage barriers are cheaper than
+//!   (`TASK_DISPATCH_INSTRUCTIONS`).  Stage barriers are cheaper than
 //!   MapReduce job barriers, so a larger fraction of the work parallelises
-//!   across cores ([`SPARK_PARALLEL_FRACTION`] vs the JVM model's 0.72).
+//!   across cores (`SPARK_PARALLEL_FRACTION` vs the JVM model's 0.72).
 //! * **Shuffle traffic is disk traffic.**  As in the MapReduce model,
 //!   shuffle-file writes and fetches stand in for both the local disks and
 //!   the 1 GbE network of the paper's cluster.
 //!
-//! The entry point is [`per_node_app_profile`], the Spark analogue of
+//! The entry point is `per_node_app_profile`, the Spark analogue of
 //! [`crate::framework::mapreduce::per_node_job_profile`].
 
 use dmpb_perfmodel::access::AccessPattern;
@@ -56,17 +56,17 @@ use crate::framework::jvm;
 /// Instructions one task launch costs on the executor: closure
 /// deserialisation, block-manager lookups, shuffle bookkeeping and result
 /// serialisation back to the driver.
-pub const TASK_DISPATCH_INSTRUCTIONS: f64 = 6.0e6;
+pub(crate) const TASK_DISPATCH_INSTRUCTIONS: f64 = 6.0e6;
 
 /// Code footprint of the JVM + Spark runtime (Spark jars on top of the
 /// managed runtime; larger than Hadoop's task footprint).
-pub const SPARK_CODE_FOOTPRINT_BYTES: u64 = 9 * 1024 * 1024;
+pub(crate) const SPARK_CODE_FOOTPRINT_BYTES: u64 = 9 * 1024 * 1024;
 
 /// Fraction of an executor's work that parallelises across the node's
 /// cores.  Stage barriers are cheaper than MapReduce job barriers and
 /// narrow stages pipeline freely, so Spark parallelises better than the
 /// 0.72 of the MapReduce/JVM model.
-pub const SPARK_PARALLEL_FRACTION: f64 = 0.80;
+pub(crate) const SPARK_PARALLEL_FRACTION: f64 = 0.80;
 
 /// Description of one Spark application's data movement, independent of
 /// which motifs run inside its stages.
@@ -111,7 +111,7 @@ impl AppShape {
 
     /// Per-node bytes re-read from HDFS per iteration after the first
     /// because they did not fit the cache.
-    pub fn uncached_bytes_per_node(&self, cluster: &ClusterConfig) -> u64 {
+    pub(crate) fn uncached_bytes_per_node(&self, cluster: &ClusterConfig) -> u64 {
         let spill = 1.0 - self.cached_fraction.clamp(0.0, 1.0);
         (self.input_bytes_per_node(cluster) as f64 * spill) as u64
     }
@@ -201,7 +201,7 @@ fn scheduler_profile(shape: &AppShape, cluster: &ClusterConfig) -> OpProfile {
 /// # Panics
 ///
 /// Panics if `user_profiles` is empty.
-pub fn per_node_app_profile(
+pub(crate) fn per_node_app_profile(
     shape: &AppShape,
     cluster: &ClusterConfig,
     user_profiles: Vec<OpProfile>,

@@ -58,21 +58,6 @@ pub struct NetworkSpec {
     pub input_image_bytes: u64,
 }
 
-impl NetworkSpec {
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Number of convolution layers (a sanity metric used in tests).
-    pub fn num_convolutions(&self) -> usize {
-        self.layers
-            .iter()
-            .filter(|l| l.motif == MotifKind::Convolution)
-            .count()
-    }
-}
-
 /// Training-run configuration (steps, batch size).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrainingConfig {
@@ -253,12 +238,5 @@ mod tests {
             &ClusterConfig::three_node_westmere_64gb(),
         );
         assert!(three.total_instructions() > five.total_instructions());
-    }
-
-    #[test]
-    fn network_spec_accessors() {
-        let n = tiny_network();
-        assert_eq!(n.num_layers(), 5);
-        assert_eq!(n.num_convolutions(), 1);
     }
 }

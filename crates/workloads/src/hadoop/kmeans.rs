@@ -55,7 +55,7 @@ impl KMeans {
     }
 
     /// A scaled-down configuration.
-    pub fn scaled(input_bytes: u64, sparsity: f64) -> Self {
+    pub(crate) fn scaled(input_bytes: u64, sparsity: f64) -> Self {
         Self {
             input_bytes,
             sparsity,

@@ -1,8 +1,8 @@
 //! Models of the three Hadoop workloads: TeraSort, K-means and PageRank.
 
-pub mod kmeans;
-pub mod pagerank;
-pub mod terasort;
+pub(crate) mod kmeans;
+pub(crate) mod pagerank;
+pub(crate) mod terasort;
 
 pub use kmeans::KMeans;
 pub use pagerank::PageRank;

@@ -36,7 +36,7 @@ impl PageRank {
     }
 
     /// A scaled-down configuration.
-    pub fn scaled(num_vertices: u64) -> Self {
+    pub(crate) fn scaled(num_vertices: u64) -> Self {
         Self { num_vertices }
     }
 

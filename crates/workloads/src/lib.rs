@@ -25,7 +25,7 @@
 //! the Spark RDD/DAG runtime with in-memory caching
 //! ([`framework::spark`]), and the TensorFlow graph executor with its
 //! parameter-server step loop ([`framework::tensorflow`]) — plus the
-//! HDFS-style disk traffic and the cluster topology ([`cluster`]).  The
+//! HDFS-style disk traffic and the cluster topology (`cluster`).  The
 //! result of a workload model is a per-node [`dmpb_perfmodel::OpProfile`],
 //! measured by the same [`dmpb_perfmodel::ExecutionEngine`] that measures
 //! the proxies.
@@ -38,7 +38,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cluster;
+pub(crate) mod cluster;
 pub mod framework;
 pub mod hadoop;
 pub mod spark;

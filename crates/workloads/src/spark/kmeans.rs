@@ -40,7 +40,7 @@ pub struct SparkKMeans {
 impl SparkKMeans {
     /// The reference configuration: the Hadoop twin's 100 GB / 90 %-sparse
     /// input, iterated five times over the cached RDD.
-    pub fn reference_configuration() -> Self {
+    pub(crate) fn reference_configuration() -> Self {
         Self {
             input_bytes: 100 << 30,
             sparsity: 0.9,

@@ -10,9 +10,9 @@
 //! identical motifs and inputs (see
 //! [`crate::workload::WorkloadKind::stack_twin`]).
 
-pub mod kmeans;
-pub mod pagerank;
-pub mod terasort;
+pub(crate) mod kmeans;
+pub(crate) mod pagerank;
+pub(crate) mod terasort;
 
 pub use kmeans::SparkKMeans;
 pub use pagerank::SparkPageRank;

@@ -32,7 +32,7 @@ pub struct SparkPageRank {
 impl SparkPageRank {
     /// The reference configuration: the Hadoop twin's 2^26-vertex graph,
     /// iterated five times over the cached edge RDD.
-    pub fn reference_configuration() -> Self {
+    pub(crate) fn reference_configuration() -> Self {
         Self {
             num_vertices: 1 << 26,
             iterations: 5,

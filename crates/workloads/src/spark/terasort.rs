@@ -38,7 +38,7 @@ impl SparkTeraSort {
     /// The reference configuration matching the Hadoop twin: 100 GB of
     /// gensort text (BigDataBench ships Spark TeraSort over the same
     /// input).
-    pub fn reference_configuration() -> Self {
+    pub(crate) fn reference_configuration() -> Self {
         Self {
             input_bytes: 100 << 30,
         }

@@ -37,7 +37,7 @@ pub struct AlexNet {
 
 impl AlexNet {
     /// The Section III configuration: 10 000 steps, batch 128.
-    pub fn paper_configuration() -> Self {
+    pub(crate) fn paper_configuration() -> Self {
         Self {
             total_steps: 10_000,
             batch_size: 128,
@@ -54,7 +54,7 @@ impl AlexNet {
     }
 
     /// The CIFAR-10-sized AlexNet layer graph.
-    pub fn network() -> NetworkSpec {
+    pub(crate) fn network() -> NetworkSpec {
         use MotifKind::*;
         NetworkSpec {
             name: "AlexNet",
@@ -168,7 +168,12 @@ mod tests {
     #[test]
     fn network_has_five_convolutions_and_three_fc_layers() {
         let n = AlexNet::network();
-        assert_eq!(n.num_convolutions(), 5);
+        let convs = n
+            .layers
+            .iter()
+            .filter(|l| l.motif == MotifKind::Convolution)
+            .count();
+        assert_eq!(convs, 5);
         let fc = n
             .layers
             .iter()

@@ -37,7 +37,7 @@ pub struct InceptionV3 {
 
 impl InceptionV3 {
     /// The Section III configuration: 1 000 steps, batch 32.
-    pub fn paper_configuration() -> Self {
+    pub(crate) fn paper_configuration() -> Self {
         Self {
             total_steps: 1_000,
             batch_size: 32,
@@ -100,7 +100,7 @@ impl InceptionV3 {
     }
 
     /// The Inception-V3 layer graph.
-    pub fn network() -> NetworkSpec {
+    pub(crate) fn network() -> NetworkSpec {
         use MotifKind::*;
         // Stem: 299x299x3 -> 35x35x192.
         let mut layers = vec![
@@ -234,12 +234,13 @@ mod tests {
     fn network_is_much_deeper_than_alexnet() {
         let inception = InceptionV3::network();
         let alexnet = crate::tensorflow::AlexNet::network();
-        assert!(inception.num_layers() > 3 * alexnet.num_layers());
-        assert!(
-            inception.num_convolutions() > 40,
-            "convs {}",
-            inception.num_convolutions()
-        );
+        assert!(inception.layers.len() > 3 * alexnet.layers.len());
+        let convs = inception
+            .layers
+            .iter()
+            .filter(|l| l.motif == MotifKind::Convolution)
+            .count();
+        assert!(convs > 40, "convs {convs}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Models of the two TensorFlow workloads: AlexNet and Inception-V3.
 
-pub mod alexnet;
-pub mod inception_v3;
+pub(crate) mod alexnet;
+pub(crate) mod inception_v3;
 
 pub use alexnet::AlexNet;
 pub use inception_v3::InceptionV3;

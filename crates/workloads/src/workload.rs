@@ -109,7 +109,7 @@ impl WorkloadKind {
     ];
 
     /// Name of the original workload (with its software stack).
-    pub fn real_name(&self) -> &'static str {
+    pub(crate) fn real_name(&self) -> &'static str {
         match self {
             WorkloadKind::TeraSort => "Hadoop TeraSort",
             WorkloadKind::KMeans => "Hadoop K-means",
@@ -199,7 +199,7 @@ impl std::str::FromStr for WorkloadKind {
     /// (`"Hadoop TeraSort"`, `"TensorFlow Inception-V3"`) and looser
     /// spellings (`"spark_pagerank"`) all resolve.  Round-trips with
     /// [`WorkloadKind::short_name`] / `Display` and
-    /// [`WorkloadKind::real_name`].
+    /// `WorkloadKind::real_name`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let normalized: String = s
             .chars()
